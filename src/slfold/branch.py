@@ -61,31 +61,27 @@ class BranchState:
     p_prime_at_w: float
 
 
-def eval_p(params: ReductionParams, w: float) -> float:
-    """P(w) as a running product of the factors (w + a_j), never expanded."""
-    p = 1.0
-    for aj in params.a:
-        p *= w + aj
-    return p
+def _p_and_dp(a: tuple[float, ...], w):
+    """(P(w), P'(w)) in one pass over the factors (w + a_j), never expanded.
 
-
-def eval_p_prime(params: ReductionParams, w: float) -> float:
-    """P'(w) = sum_k prod_{i != k} (w + a_i), accumulated factor by factor."""
-    p, dp = 1.0, 0.0
-    for aj in params.a:
-        t = w + aj
-        dp = dp * t + p
-        p *= t
-    return dp
-
-
-def _p_and_dp(a: tuple[float, ...], w: float) -> tuple[float, float]:
+    Serves floats and arrays alike: the loop only rebinds, never writes in place.
+    """
     p, dp = 1.0, 0.0
     for aj in a:
         t = w + aj
         dp = dp * t + p
-        p *= t
+        p = p * t
     return p, dp
+
+
+def eval_p(params: ReductionParams, w: float) -> float:
+    """P(w) as a running product of the factors (w + a_j); elementwise on arrays."""
+    return _p_and_dp(params.a, w)[0]
+
+
+def eval_p_prime(params: ReductionParams, w: float) -> float:
+    """P'(w) = sum_k prod_{i != k} (w + a_i), accumulated factor by factor."""
+    return _p_and_dp(params.a, w)[1]
 
 
 def _upper_bound(params: ReductionParams, s: float) -> float:
@@ -142,16 +138,6 @@ def ellipticity_coefficient(params: ReductionParams, s: float) -> float:
     return solve_branch(params, s).p_prime_at_w
 
 
-def _p_and_dp_arrays(a: tuple[float, ...], w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.ones_like(w)
-    dp = np.zeros_like(w)
-    for aj in a:
-        t = w + aj
-        dp = dp * t + p
-        p = p * t
-    return p, dp
-
-
 def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     """Vectorised branch inversion; same tolerance as solve_branch."""
     s = np.asarray(s, dtype=float)
@@ -161,7 +147,7 @@ def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     w = params.w0 + np.maximum(1.0, s ** (1.0 / (params.n - 1))) + spread
     tol = BRANCH_TOL * (1.0 + s)
     for _ in range(_MAX_NEWTON):
-        p, dp = _p_and_dp_arrays(params.a, w)
+        p, dp = _p_and_dp(params.a, w)
         err = p - s
         active = np.abs(err) > tol
         if not active.any():
@@ -175,5 +161,4 @@ def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
 def ellipticity_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     """F(s) = P'(w(s)) evaluated elementwise on an array of levels."""
     w = branch_w_array(params, s)
-    _, dp = _p_and_dp_arrays(params.a, w)
-    return dp
+    return _p_and_dp(params.a, w)[1]

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, solve_branch
+from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
 from .embedding import EmbeddedSample, unit_power_i
 from .errors import (
     DegenerateBranchError,
@@ -98,20 +98,23 @@ def implicit_derivatives(
     with s = v^2 + y^2.  These are validated against finite differences of
     total_phase and solve_branch in the test-suite.
     """
+    return _implicit_derivs(params, v, y, v_x, v_y, solve_branch(params, v * v + y * y).p_prime_at_w)
+
+
+def _implicit_derivs(
+    params: ReductionParams, v: float, y: float, v_x: float, v_y: float, p_prime: float
+) -> ImplicitDerivs:
     if v == 0.0 and y == 0.0:
         raise SingularPointError("implicit derivatives undefined at v = y = 0")
+    if p_prime < DEGENERACY_FLOOR:
+        raise DegenerateBranchError(f"P'(w) = {p_prime:.3e} below floor {DEGENERACY_FLOOR:.0e}")
     s = v * v + y * y
-    state = solve_branch(params, s)
-    if state.p_prime_at_w < DEGENERACY_FLOOR:
-        raise DegenerateBranchError(
-            f"P'(w) = {state.p_prime_at_w:.3e} below floor {DEGENERACY_FLOOR:.0e}"
-        )
     m = params.n - 1
     return ImplicitDerivs(
         theta_x=-y * v_x / (m * s),
         theta_y=(v - y * v_y) / (m * s),
-        w_x=2.0 * v * v_x / state.p_prime_at_w,
-        w_y=2.0 * (v * v_y + y) / state.p_prime_at_w,
+        w_x=2.0 * v * v_x / p_prime,
+        w_y=2.0 * (v * v_y + y) / p_prime,
     )
 
 
@@ -134,7 +137,7 @@ def tangent_frame(
     if np.any(radicand <= ZERO_RADIUS_FLOOR):
         raise ZeroRadiusError("a radius sqrt(w + a_j) vanishes; frame is undefined")
     radii = np.sqrt(radicand)
-    der = implicit_derivatives(params, sample.v, sample.y, v_x, v_y)
+    der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, eval_p_prime(params, sample.w))
 
     theta = sample.theta_total / (n - 1)
     phase = cmath.exp(1j * theta)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .branch import ReductionParams, eval_p_prime
+from .branch import ellipticity_array, eval_p_prime, params_from_levels
 from .calibration import (
     decomposition_check,
     im_omega_residual,
@@ -149,14 +149,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _frame_partials(u: np.ndarray, v: np.ndarray, i: int, j: int, hx: float, hy: float):
-    u_x = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
-    u_y = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
-    v_x = (v[i + 1, j] - v[i - 1, j]) / (2.0 * hx)
-    v_y = (v[i, j + 1] - v[i, j - 1]) / (2.0 * hy)
-    return u_x, u_y, v_x, v_y
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     params = cfg.params
@@ -167,6 +159,8 @@ def cmd_verify(args) -> int:
 
     dom = u.domain
     xs, ys = dom.xs(), dom.ys()
+    u_x, u_y = np.gradient(u.values, dom.hx, dom.hy)
+    v_x, v_y = np.gradient(v.values, dom.hx, dom.hy)
     stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / args.max_frames))))
     sign_target = 1.0 if params.n % 2 == 0 else -1.0  # (-1)^{2-n}
     max_omega = max_im_omega = max_gamma = max_fit = 0.0
@@ -178,9 +172,7 @@ def cmd_verify(args) -> int:
             vv, yy = float(v.values[i, j]), float(ys[j])
             try:
                 sample = lift_point(params, float(xs[i]), yy, float(u.values[i, j]), vv)
-                frame = tangent_frame(
-                    params, sample, *_frame_partials(u.values, v.values, i, j, dom.hx, dom.hy)
-                )
+                frame = tangent_frame(params, sample, u_x[i, j], u_y[i, j], v_x[i, j], v_y[i, j])
                 fit = decomposition_check(params, frame)
             except SlfoldError:
                 skipped += 1
@@ -294,13 +286,8 @@ def cmd_example(args) -> int:
     s_grid = np.linspace(0.0, args.s_max, args.s_count)
     dev = joyce_deviation(a, s_grid)
     if args.out:
-        from .branch import ellipticity_coefficient, params_from_levels
-
-        params = params_from_levels((a, -a))
-        rows = [
-            (s, ellipticity_coefficient(params, float(s)), 2.0 * np.sqrt(s + a * a))
-            for s in s_grid
-        ]
+        coef = ellipticity_array(params_from_levels((a, -a)), s_grid)
+        rows = zip(s_grid, coef, 2.0 * np.sqrt(s_grid + a * a))
         write_rows_csv(("s", "coefficient", "closed_form"), rows, args.out)
     print(f"max_deviation={fmt(dev)}")
     return 0

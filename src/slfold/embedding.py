@@ -60,6 +60,29 @@ class EmbeddedSample:
         return (self.x, self.y, self.u, self.v)
 
 
+def _base_point(params: ReductionParams, v: float, y: float) -> tuple[float, float, np.ndarray]:
+    """(Theta, w, radii) over the base point; shared by its whole torus orbit."""
+    if v == 0.0 and y == 0.0:
+        if params.min_multiplicity > 1:
+            raise SingularPointError("orbit collapses at v = y = 0 for degenerate min(a_j)")
+        theta_sum = 0.0  # product of the z_j vanishes; the phase is immaterial
+    else:
+        theta_sum = total_phase(params, v, y)
+
+    w = solve_branch(params, v * v + y * y).w
+    radicand = np.array([w + aj for aj in params.a])
+    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
+    return theta_sum, w, np.sqrt(radicand)
+
+
+def _orbit_sample(x, y, u, v, base, angles: tuple[float, ...]) -> EmbeddedSample:
+    """The point over (x, y, u, v) at torus angles (t_1, ..., t_{n-2}); base from _base_point."""
+    theta_sum, w, radii = base
+    z = np.append(radii * np.exp(1j * np.array(angles + (theta_sum - sum(angles),))), complex(x, u))
+    return EmbeddedSample(z=z, x=float(x), y=float(y), u=float(u), v=float(v),
+                          w=w, theta_total=theta_sum, torus_angles=angles)
+
+
 def lift_point(
     params: ReductionParams,
     x: float,
@@ -78,27 +101,7 @@ def lift_point(
     angles = tuple(float(t) for t in (torus_angles if torus_angles is not None else [0.0] * (n - 2)))
     if len(angles) != n - 2:
         raise ValueError(f"need n-2 = {n - 2} torus angles, got {len(angles)}")
-
-    if v == 0.0 and y == 0.0:
-        if params.min_multiplicity > 1:
-            raise SingularPointError("orbit collapses at v = y = 0 for degenerate min(a_j)")
-        theta_sum = 0.0  # product of the z_j vanishes; the phase is immaterial
-    else:
-        theta_sum = total_phase(params, v, y)
-
-    w = solve_branch(params, v * v + y * y).w
-    radicand = np.array([w + aj for aj in params.a])
-    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
-    radii = np.sqrt(radicand)
-
-    full_angles = np.array(angles + (theta_sum - sum(angles),))
-    z = np.empty(n, dtype=complex)
-    z[: n - 1] = radii * np.exp(1j * full_angles)
-    z[n - 1] = complex(x, u)
-    return EmbeddedSample(
-        z=z, x=float(x), y=float(y), u=float(u), v=float(v),
-        w=w, theta_total=theta_sum, torus_angles=angles,
-    )
+    return _orbit_sample(x, y, u, v, _base_point(params, v, y), angles)
 
 
 def moment_residual(params: ReductionParams, sample: EmbeddedSample) -> np.ndarray:
@@ -127,9 +130,10 @@ def sample_fields(
 ) -> SurfaceSamples:
     """Tensor sampling: every grid node times a uniform torus lattice.
 
-    Nodes with (v, y) = (0, 0) in the singular regime are skipped and
-    recorded rather than raised; ordering is node-major (i outer, j inner)
-    then torus-index-major.
+    The branch is solved once per node and shared by its torus orbit.  Nodes
+    with (v, y) = (0, 0) in the singular regime are skipped and recorded
+    rather than raised; ordering is node-major (i outer, j inner) then
+    torus-index-major.
     """
     if torus_resolution < 1:
         raise ValueError("torus_resolution must be >= 1")
@@ -143,16 +147,17 @@ def sample_fields(
     samples: list[EmbeddedSample] = []
     skipped: list[tuple[int, int]] = []
     for i in range(dom.nx):
+        x = float(xs[i])
         for j in range(dom.ny):
             vv = float(v.values[i, j])
             y = float(ys[j])
-            if vv == 0.0 and y == 0.0 and params.min_multiplicity > 1:
+            try:
+                base = _base_point(params, vv, y)
+            except SingularPointError:
                 skipped.append((i, j))
                 continue
             uu = float(u.values[i, j])
-            x = float(xs[i])
-            for angles in lattice:
-                samples.append(lift_point(params, x, y, uu, vv, angles))
+            samples.extend(_orbit_sample(x, y, uu, vv, base, angles) for angles in lattice)
     return SurfaceSamples(samples=samples, skipped_nodes=skipped)
 
 

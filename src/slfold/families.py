@@ -13,7 +13,7 @@ import numpy as np
 
 from .branch import (
     ReductionParams,
-    ellipticity_coefficient,
+    ellipticity_array,
     eval_p,
     eval_p_prime,
     params_from_levels,
@@ -208,8 +208,6 @@ def joyce_deviation(a: float, s_grid: Sequence[float]) -> float:
     """
     if a == 0.0:
         raise ValueError("a must be nonzero")
-    params = params_from_levels((a, -a))
-    worst = 0.0
-    for s in s_grid:
-        worst = max(worst, abs(ellipticity_coefficient(params, float(s)) - 2.0 * math.sqrt(s + a * a)))
-    return worst
+    s = np.asarray(s_grid, dtype=float)
+    coef = ellipticity_array(params_from_levels((a, -a)), s)
+    return float(np.max(np.abs(coef - 2.0 * np.sqrt(s + a * a)), initial=0.0))

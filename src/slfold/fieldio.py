@@ -22,13 +22,9 @@ def fmt(x: float) -> str:
 
 
 def write_field_csv(field: ScalarField2D, path: str | Path, name: str = "value") -> None:
-    dom = field.domain
-    xs, ys = dom.xs(), dom.ys()
-    lines = [f"x,y,{name}"]
-    for i in range(dom.nx):
-        for j in range(dom.ny):
-            lines.append(f"{fmt(xs[i])},{fmt(ys[j])},{fmt(field.values[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    xs, ys = field.domain.xs().tolist(), field.domain.ys().tolist()
+    rows = ((x, y, val) for x, col in zip(xs, field.values.tolist()) for y, val in zip(ys, col))
+    write_rows_csv(("x", "y", name), rows, path)
 
 
 def read_field_csv(path: str | Path) -> ScalarField2D:
@@ -90,10 +86,7 @@ def sample_row(sample: EmbeddedSample) -> list[float]:
 
 
 def write_samples_csv(samples: Sequence[EmbeddedSample], n: int, path: str | Path) -> None:
-    lines = [",".join(sample_header(n))]
-    for s in samples:
-        lines.append(",".join(fmt(v) for v in sample_row(s)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows_csv(sample_header(n), map(sample_row, samples), path)
 
 
 # --- point-cloud projections -------------------------------------------------
@@ -150,8 +143,11 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 
 def write_rows_csv(header: Iterable[str], rows: Iterable[Sequence], path: str | Path) -> None:
+    """Strings as they are, numbers as fmt() writes them; the first row fixes each column's kind."""
     lines = [",".join(header)]
+    template = None
     for row in rows:
-        cells = [cell if isinstance(cell, str) else fmt(cell) for cell in row]
-        lines.append(",".join(cells))
+        if template is None:
+            template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in row)
+        lines.append(template % tuple(row))
     Path(path).write_text("\n".join(lines) + "\n")

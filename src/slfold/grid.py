@@ -102,9 +102,9 @@ class ScalarField2D:
         d = self.domain
         ix = int(np.clip(np.floor((x - d.x0) / d.hx), 0, d.nx - 2))
         jy = int(np.clip(np.floor((y - d.y0) / d.hy), 0, d.ny - 2))
-        xs, ys = d.xs(), d.ys()
-        t = (x - xs[ix]) / d.hx
-        u = (y - ys[jy]) / d.hy
+        # ix * hx + x0 is xs()[ix] bit for bit: linspace computes i * step + start
+        t = (x - (ix * d.hx + d.x0)) / d.hx
+        u = (y - (jy * d.hy + d.y0)) / d.hy
         v = self.values
         return float(
             (1 - t) * (1 - u) * v[ix, jy]

@@ -143,3 +143,11 @@ def test_array_solver_matches_scalar(rng):
     w_arr = branch_w_array(params, s)
     w_scalar = np.array([solve_branch(params, float(v)).w for v in s])
     assert np.allclose(w_arr, w_scalar, rtol=1e-10, atol=1e-12)
+
+
+def test_p_and_p_prime_on_arrays_equal_scalar_calls(rng):
+    for n in (3, 4, 5, 6):
+        params = random_params(rng, n=n)
+        w = rng.uniform(params.w0 - 1.0, params.w0 + 10.0, 50)
+        assert np.array_equal(eval_p(params, w), [eval_p(params, float(t)) for t in w])
+        assert np.array_equal(eval_p_prime(params, w), [eval_p_prime(params, float(t)) for t in w])

@@ -469,3 +469,11 @@ def test_solver_output_frames_within_budget():
             assert omega_residual(frame) <= budget
             assert im_omega_residual(frame) <= budget
     assert checked > 100
+
+
+def test_frame_derivs_equal_implicit_derivatives(rng):
+    for n in (3, 4, 5, 6):
+        params = random_params(rng, n=n)
+        x, y, u, v, u_x, u_y, v_x, v_y = (float(t) for t in rng.uniform(-2, 2, 8))
+        frame = tangent_frame(params, lift_point(params, x, y, u, v), u_x, u_y, v_x, v_y)
+        assert frame.derivs == implicit_derivatives(params, v, y, v_x, v_y)

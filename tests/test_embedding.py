@@ -193,3 +193,23 @@ def test_sample_surface_from_solution():
     assert len(out.samples) == 25 * 3
     for s in out.samples[:6]:
         assert np.max(np.abs(moment_residual(params, s))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sample_fields_equals_lift_point_exactly(n):
+    rng = np.random.default_rng(n)
+    params = random_params(rng, n=n)
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    u = ScalarField2D(dom, rng.uniform(-2, 2, (3, 3)))
+    vals = rng.uniform(-2, 2, (3, 3))
+    vals[1, 1] = 0.0  # ys[1] = 0: a nonsingular node with v = y = 0
+    v = ScalarField2D(dom, vals)
+    out = sample_fields(params, u, v, 2)
+    assert out.skipped_nodes == [] and len(out.samples) == 9 * 2 ** (n - 2)
+    xs, ys = dom.xs(), dom.ys()
+    for k, s in enumerate(out.samples):
+        i, j = divmod(k // 2 ** (n - 2), 3)
+        ref = lift_point(params, float(xs[i]), float(ys[j]), float(u.values[i, j]),
+                         float(v.values[i, j]), s.torus_angles)
+        assert s.z.tobytes() == ref.z.tobytes()
+        assert (s.w, s.theta_total, s.base) == (ref.w, ref.theta_total, ref.base)

@@ -1,0 +1,22 @@
+"""Smoke runs of the study scripts, which no other test imports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# refinement_study.py is left out: its 129^2 solve takes several seconds.
+@pytest.mark.parametrize("script", ["calibration_sweep.py", "hl_survey.py"])
+def test_script_runs(script):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
