@@ -23,7 +23,7 @@ def main() -> int:
 
     solutions = {}
     print(f"levels a = {levels}, boundary phi = x^2 on [-1,1]^2, tol = {cfg.tolerance:g}")
-    print(f"{'nodes':>7} {'sweeps':>7} {'residual':>10} {'margin':>8} {'seconds':>8}")
+    print(f"{'nodes':>7} {'cycles':>7} {'residual':>10} {'margin':>8} {'seconds':>8}")
     for nn in sizes:
         dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nn, nn)
         phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y)

@@ -118,6 +118,16 @@ def _implicit_derivs(
     )
 
 
+def _radii(
+    params: ReductionParams, sample: EmbeddedSample, message: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w + a_j, sqrt(w + a_j)); raises ZeroRadiusError(message) at the floor."""
+    radicand = np.array([sample.w + aj for aj in params.a])
+    if np.any(radicand <= ZERO_RADIUS_FLOOR):
+        raise ZeroRadiusError(message)
+    return radicand, np.sqrt(radicand)
+
+
 def tangent_frame(
     params: ReductionParams,
     sample: EmbeddedSample,
@@ -133,10 +143,7 @@ def tangent_frame(
     every calibration quantity evaluated here is invariant under that move.
     """
     n = params.n
-    radicand = np.array([sample.w + aj for aj in params.a])
-    if np.any(radicand <= ZERO_RADIUS_FLOOR):
-        raise ZeroRadiusError("a radius sqrt(w + a_j) vanishes; frame is undefined")
-    radii = np.sqrt(radicand)
+    _, radii = _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
     der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, eval_p_prime(params, sample.w))
 
     theta = sample.theta_total / (n - 1)
@@ -218,10 +225,7 @@ def cross_product_closed_form(
     Must agree with cross_product_det on the same frame to 1e-10 relative.
     """
     n = params.n
-    radicand = np.array([sample.w + aj for aj in params.a])
-    if np.any(radicand <= ZERO_RADIUS_FLOOR):
-        raise ZeroRadiusError("closed form requires strictly positive radii")
-    radii = np.sqrt(radicand)
+    radicand, radii = _radii(params, sample, "closed form requires strictly positive radii")
     rho = float(np.prod(radii))
     theta = sample.theta_total / (n - 1)
     u_x = float(frame.wx[n - 1].imag)

@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .branch import ellipticity_array, eval_p_prime, params_from_levels
+from .branch import eval_p_prime
 from .calibration import (
     decomposition_check,
     im_omega_residual,
     omega_residual,
     tangent_frame,
 )
-from .config import RunConfig, load_config
+from .config import load_config
 from .embedding import lift_point, sample_fields
 from .errors import (
     ConfigError,
@@ -31,7 +31,7 @@ from .errors import (
     SlfoldError,
     YZeroError,
 )
-from .families import AffineSolution, HLConfig, affine_uv, hl_triple, joyce_deviation
+from .families import AffineSolution, HLConfig, affine_uv, hl_triple, joyce_check
 from .fieldio import (
     fmt,
     parse_projection,
@@ -284,12 +284,11 @@ def cmd_example(args) -> int:
         raise ConfigError("joyce needs --a with one nonzero value")
     a = float(args.a.split(",")[0])
     s_grid = np.linspace(0.0, args.s_max, args.s_count)
-    dev = joyce_deviation(a, s_grid)
+    check = joyce_check(a, s_grid)
     if args.out:
-        coef = ellipticity_array(params_from_levels((a, -a)), s_grid)
-        rows = zip(s_grid, coef, 2.0 * np.sqrt(s_grid + a * a))
+        rows = zip(s_grid, check.coefficient, check.closed_form)
         write_rows_csv(("s", "coefficient", "closed_form"), rows, args.out)
-    print(f"max_deviation={fmt(dev)}")
+    print(f"max_deviation={fmt(check.deviation)}")
     return 0
 
 

@@ -174,9 +174,7 @@ def config_from_dict(data: dict) -> RunConfig:
         solver = SolverConfig(
             tolerance=float(ssec.get("tolerance", 1e-10)),
             max_iterations=int(ssec.get("max_iterations", 10_000)),
-            sor_factor=float(ssec.get("sor_factor", 1.7)),
             ellipticity_floor=float(ssec.get("ellipticity_floor", 1e-10)),
-            coefficient_damping=float(ssec.get("coefficient_damping", 0.7)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -32,7 +32,7 @@ class NoConvergenceError(SlfoldError):
 
     def __init__(self, iterations: int, residual: float):
         super().__init__(
-            f"no convergence after {iterations} sweeps (residual {residual:.3e})"
+            f"no convergence after {iterations} iterations (residual {residual:.3e})"
         )
         self.iterations = iterations
         self.residual = residual

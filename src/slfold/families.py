@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,8 +200,16 @@ def hl_partials(cfg: HLConfig, x: float, y: float) -> tuple[np.ndarray, np.ndarr
     return np.linalg.solve(m, rhs_x), np.linalg.solve(m, rhs_y)
 
 
-def joyce_deviation(a: float, s_grid: Sequence[float]) -> float:
-    """max_s |F(s) - 2 sqrt(s + a^2)| for the 3-dimensional case a = (a, -a).
+class JoyceCheck(NamedTuple):
+    """Reduced coefficient F(s), its closed form and their max deviation."""
+
+    coefficient: np.ndarray
+    closed_form: np.ndarray
+    deviation: float
+
+
+def joyce_check(a: float, s_grid: Sequence[float]) -> JoyceCheck:
+    """F(s) against 2 sqrt(s + a^2) for the 3-dimensional case a = (a, -a).
 
     The reduced coefficient has the closed form 2 sqrt(s + a^2) there; this
     is the consistency check against the classical U(1)-invariant system.
@@ -210,4 +218,10 @@ def joyce_deviation(a: float, s_grid: Sequence[float]) -> float:
         raise ValueError("a must be nonzero")
     s = np.asarray(s_grid, dtype=float)
     coef = ellipticity_array(params_from_levels((a, -a)), s)
-    return float(np.max(np.abs(coef - 2.0 * np.sqrt(s + a * a)), initial=0.0))
+    closed = 2.0 * np.sqrt(s + a * a)
+    return JoyceCheck(coef, closed, float(np.max(np.abs(coef - closed), initial=0.0)))
+
+
+def joyce_deviation(a: float, s_grid: Sequence[float]) -> float:
+    """max_s |F(s) - 2 sqrt(s + a^2)| for a = (a, -a); see joyce_check."""
+    return joyce_check(a, s_grid).deviation

@@ -6,7 +6,11 @@ Potential form:          f_xx + P'(w) f_yy = 0 with (u, v) = (f_y, f_x) and
 
 Discretisation is the 5-point second-order stencil; the nonlinear coefficient
 is evaluated nodewise from the current iterate.  The Dirichlet solver runs a
-Picard (frozen-coefficient) outer loop around red-black SOR sweeps.
+Picard (frozen-coefficient) outer loop with one geometric multigrid V-cycle
+per coefficient refresh: alternating zebra line Gauss-Seidel smoothing,
+full-weighting restriction, bilinear prolongation and an exact block
+elimination on the coarsest grid (Briggs, Henson & McCormick, A Multigrid
+Tutorial, 2000).
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .errors import (
 )
 from .grid import BoundaryData, GridDomain, ScalarField2D, require_same_domain
 
+# Step halvings tried before an iteration counts as stalled.
+_MAX_HALVINGS = 8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -31,15 +38,11 @@ class SolverConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
-    sor_factor: float = 1.7
     ellipticity_floor: float = 1e-10
-    coefficient_damping: float = 0.7
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not (0 < self.sor_factor < 2):
-            raise ValueError("sor_factor must lie in (0, 2)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -157,20 +160,109 @@ def transfinite_interpolant(phi: BoundaryData) -> np.ndarray:
     return blend
 
 
-def _checkerboard(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    red = (ii + jj) % 2 == 0
-    return red, ~red
+class _Level:
+    """The frozen operator e_xx + c e_yy on one grid of the hierarchy."""
+
+    def __init__(self, coef: np.ndarray, hx: float, hy: float):
+        self.invx = 1.0 / hx**2
+        self.cy = coef / hy**2
+        self.diag = -2.0 * self.invx - 2.0 * self.cy
+
+    def apply(self, e: np.ndarray) -> np.ndarray:
+        """Operator on the interior of a full array with zero boundary rows."""
+        mid = e[1:-1, 1:-1]
+        return (e[2:, 1:-1] - 2.0 * mid + e[:-2, 1:-1]) * self.invx + self.cy * (
+            e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
+        )
 
 
-def _sor_color_pass(
-    f: np.ndarray, coef: np.ndarray, mask: np.ndarray, hx: float, hy: float, omega: float
-) -> None:
-    invx, invy = 1.0 / hx**2, 1.0 / hy**2
-    num = (f[2:, 1:-1] + f[:-2, 1:-1]) * invx + coef * (f[1:-1, 2:] + f[1:-1, :-2]) * invy
-    den = 2.0 * invx + 2.0 * coef * invy
-    interior = f[1:-1, 1:-1]
-    f[1:-1, 1:-1] = np.where(mask, interior + omega * (num / den - interior), interior)
+def _levels(coef: np.ndarray, hx: float, hy: float) -> list[_Level]:
+    """Full coarsening while both interior sides are odd and at least 3."""
+    levels = [_Level(coef, hx, hy)]
+    while all(m % 2 == 1 and m >= 3 for m in coef.shape):
+        coef, hx, hy = coef[1::2, 1::2], 2.0 * hx, 2.0 * hy
+        levels.append(_Level(coef, hx, hy))
+    return levels
+
+
+def _tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Thomas algorithm along axis 0, batched over axis 1; overwrites rhs.
+
+    Row k reads off[k] x[k-1] + diag[k] x[k] + off[k] x[k+1] = rhs[k].
+    """
+    n = diag.shape[0]
+    piv = np.empty_like(rhs)
+    piv[0] = diag[0]
+    for k in range(1, n):
+        m = off[k] / piv[k - 1]
+        piv[k] = diag[k] - m * off[k - 1]
+        rhs[k] -= m * rhs[k - 1]
+    rhs[-1] /= piv[-1]
+    for k in range(n - 2, -1, -1):
+        rhs[k] = (rhs[k] - off[k] * rhs[k + 1]) / piv[k]
+    return rhs
+
+
+def _smooth(lv: _Level, e: np.ndarray, b: np.ndarray) -> None:
+    """One alternating zebra line Gauss-Seidel sweep: lines along y, then x."""
+    mx, my = e.shape
+    invx = np.broadcast_to(lv.invx, b.shape)
+    for p in (0, 1):
+        rhs = b[p::2] - lv.invx * (e[p : mx - 2 : 2, 1:-1] + e[p + 2 :: 2, 1:-1])
+        sol = _tridiag_solve(lv.cy[p::2].T, lv.diag[p::2].T, rhs.T.copy())
+        e[p + 1 : mx - 1 : 2, 1:-1] = sol.T
+    for p in (0, 1):
+        rhs = b[:, p::2] - lv.cy[:, p::2] * (e[1:-1, p : my - 2 : 2] + e[1:-1, p + 2 :: 2])
+        e[1:-1, p + 1 : my - 1 : 2] = _tridiag_solve(invx[:, p::2], lv.diag[:, p::2], rhs)
+
+
+def _restrict(r: np.ndarray) -> np.ndarray:
+    """Full weighting of an interior array onto the coarse interior."""
+    t = 0.25 * (r[:-2:2] + 2.0 * r[1::2] + r[2::2])
+    return 0.25 * (t[:, :-2:2] + 2.0 * t[:, 1::2] + t[:, 2::2])
+
+
+def _prolong(ec: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a coarse interior array onto the fine interior."""
+    p = np.pad(ec, 1)
+    t = np.empty((2 * ec.shape[0] + 1, p.shape[1]))
+    t[1::2] = p[1:-1]
+    t[0::2] = 0.5 * (p[:-1] + p[1:])
+    out = np.empty((t.shape[0], 2 * ec.shape[1] + 1))
+    out[:, 1::2] = t[:, 1:-1]
+    out[:, 0::2] = 0.5 * (t[:, :-1] + t[:, 1:])
+    return out
+
+
+def _block_solve(lv: _Level, b: np.ndarray) -> np.ndarray:
+    """Exact solve by block-tridiagonal elimination; a block is one line along y."""
+    a = lv.invx
+    mx, my = b.shape
+    inv = np.empty((mx, my, my))
+    g = b.copy()
+    for i in range(mx):
+        t = np.diag(lv.diag[i]) + np.diag(lv.cy[i, 1:], -1) + np.diag(lv.cy[i, :-1], 1)
+        if i:
+            t -= a * a * inv[i - 1]
+            g[i] -= a * (inv[i - 1] @ g[i - 1])
+        inv[i] = np.linalg.inv(t)
+    e = np.empty_like(b)
+    e[-1] = inv[-1] @ g[-1]
+    for i in range(mx - 2, -1, -1):
+        e[i] = inv[i] @ (g[i] - a * e[i + 1])
+    return e
+
+
+def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """One V(1,1) cycle for e_xx + c e_yy = b from e = 0; interior in and out."""
+    lv = levels[0]
+    if len(levels) == 1:
+        return _block_solve(lv, b)
+    e = np.zeros((b.shape[0] + 2, b.shape[1] + 2))
+    _smooth(lv, e, b)
+    e[1:-1, 1:-1] += _prolong(_vcycle(levels[1:], _restrict(b - lv.apply(e))))
+    _smooth(lv, e, b)
+    return e[1:-1, 1:-1]
 
 
 def solve_dirichlet(
@@ -182,8 +274,10 @@ def solve_dirichlet(
     """Solve f_xx + P'(w) f_yy = 0 with Dirichlet data phi.
 
     Requires min(a_j) of multiplicity one so the coefficient stays bounded
-    away from zero.  Boundary nodes carry phi exactly; iterations counts the
-    total number of red-black sweeps performed.
+    away from zero.  Boundary nodes carry phi exactly.  Each iteration runs
+    one multigrid V-cycle on the correction equation with the coefficient
+    frozen, then backtracks the step until the RMS residual decreases;
+    iterations counts the V-cycles.
     """
     if params.min_multiplicity > 1:
         raise SingularParametersError(
@@ -192,65 +286,42 @@ def solve_dirichlet(
     if phi.domain != domain:
         raise DomainMismatchError("boundary data was built for a different domain")
 
-    f = transfinite_interpolant(phi)
-    red, black = _checkerboard(domain.nx, domain.ny)
-    omega = cfg.sor_factor
-
-    def coefficient(fa: np.ndarray) -> np.ndarray:
+    def state(fa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Fresh coefficient, residual and RMS residual of an iterate."""
         coef = _interior_coefficient(params, fa, domain)
         low = float(coef.min())
         if low < cfg.ellipticity_floor:
             raise DegeneracyEncounteredError(
                 f"P'(w) = {low:.3e} fell below floor {cfg.ellipticity_floor:.0e}"
             )
-        return coef
+        res = _potential_residual_interior(params, fa, domain, coef)
+        return coef, res, float(np.sqrt(np.mean(res * res)))
 
-    sweeps = 0
-    coef = coefficient(f)
-    residual = float(
-        np.max(np.abs(_potential_residual_interior(params, f, domain, coef)))
-    )
-    inner_target = 0.25 * cfg.tolerance
-
-    while residual > cfg.tolerance:
-        for k in range(500):
-            _sor_color_pass(f, coef, red, domain.hx, domain.hy, omega)
-            _sor_color_pass(f, coef, black, domain.hx, domain.hy, omega)
-            sweeps += 1
-            if sweeps >= cfg.max_iterations:
-                fresh = coefficient(f)
-                res = float(
-                    np.max(np.abs(_potential_residual_interior(params, f, domain, fresh)))
-                )
-                if res <= cfg.tolerance:
-                    residual = res
-                    coef = fresh
-                    break
-                raise NoConvergenceError(sweeps, res)
-            if k % 5 == 4:
-                lin = np.max(np.abs(_potential_residual_interior(params, f, domain, coef)))
-                if lin <= inner_target:
-                    break
-        if residual <= cfg.tolerance:
-            break
-        fresh = coefficient(f)
-        new_residual = float(
-            np.max(np.abs(_potential_residual_interior(params, f, domain, fresh)))
-        )
-        if new_residual > residual:
-            coef = coef + cfg.coefficient_damping * (fresh - coef)
+    f = transfinite_interpolant(phi)
+    coef, res, rms = state(f)
+    cycles = 0
+    while (residual := float(np.max(np.abs(res)))) > cfg.tolerance:
+        if cycles >= cfg.max_iterations:
+            raise NoConvergenceError(cycles, residual)
+        step = _vcycle(_levels(coef, domain.hx, domain.hy), -res)
+        cycles += 1
+        for halvings in range(_MAX_HALVINGS + 1):
+            trial = f.copy()
+            trial[1:-1, 1:-1] += 0.5**halvings * step
+            trial_coef, trial_res, trial_rms = state(trial)
+            if trial_rms < rms:
+                break
         else:
-            coef = fresh
-        residual = new_residual
+            raise NoConvergenceError(cycles, residual)
+        f, coef, res, rms = trial, trial_coef, trial_res, trial_rms
 
-    margin = float(_interior_coefficient(params, f, domain).min())
     field = ScalarField2D(domain, f)
     u, v = recover_uv(field)
     return PdeSolution(
         f=field,
         u=u,
         v=v,
-        iterations=sweeps,
+        iterations=cycles,
         final_residual=residual,
-        ellipticity_margin=margin,
+        ellipticity_margin=float(coef.min()),
     )

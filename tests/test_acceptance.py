@@ -26,7 +26,7 @@ from slfold.calibration import (
     tangent_frame,
 )
 from slfold.embedding import lift_point, total_phase
-from slfold.errors import DegenerateRegionError, SlfoldError, ZeroRadiusError
+from slfold.errors import DegenerateRegionError, SlfoldError
 from slfold.families import (
     AffineSolution,
     HLConfig,

@@ -78,6 +78,12 @@ def test_config_from_dict_full():
     assert [o.kind for o in cfg.outputs] == ["field", "report"]
 
 
+def test_config_ignores_retired_solver_keys():
+    # sor_factor and coefficient_damping tuned the old SOR loop; old files still load
+    text = BASE.replace("max_iterations = 500", "max_iterations = 500\nsor_factor = 2.5\ncoefficient_damping = 0.7")
+    assert config_from_dict(parse_config_text(text)).solver == config_from_dict(parse_config_text(BASE)).solver
+
+
 def test_config_missing_sections():
     with pytest.raises(ConfigError):
         config_from_dict({})

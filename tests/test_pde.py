@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slfold.branch import branch_w_array, eval_p_prime, params_from_levels
+from slfold.branch import params_from_levels
 from slfold.errors import (
     DegeneracyEncounteredError,
     DomainMismatchError,
@@ -14,6 +14,9 @@ from slfold.errors import (
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
 from slfold.pde import (
     SolverConfig,
+    _block_solve,
+    _levels,
+    _vcycle,
     ellipticity_field,
     recover_uv,
     residual_first_order,
@@ -221,6 +224,82 @@ def test_dirichlet_deterministic():
     assert a.iterations == b.iterations
 
 
+DOM33 = GridDomain(-1.0, 1.0, -1.0, 1.0, 33, 33)
+EXP_Y = lambda x, y: np.exp(2 * x) * y
+SIN_CUBE = lambda x, y: np.sin(3 * x) + y**3
+FIVE_X2 = lambda x, y: 5 * x**2 + 0 * y
+
+
+@pytest.mark.parametrize(
+    "levels, fn",
+    [
+        ((1.0, -1.0), EXP_Y),
+        ((1.0, -1.0), SIN_CUBE),
+        ((1.0, 0.25, -1.0), EXP_Y),
+        ((1.0, 0.25, -1.0), SIN_CUBE),
+        ((0.1, 0.0), EXP_Y),
+        ((0.1, 0.0), SIN_CUBE),
+        ((1.0, -1.0), FIVE_X2),
+        ((0.1, 0.0), FIVE_X2),
+    ],
+)
+def test_dirichlet_converges_across_levels(levels, fn):
+    # (0.1, 0) with exp(2x) y stalls near 1e-8 without the step backtracking
+    params = params_from_levels(levels)
+    sol = solve_dirichlet(params, DOM33, BoundaryData.from_function(DOM33, fn))
+    assert sol.final_residual <= 1e-10
+    assert np.max(np.abs(residual_potential(params, sol.f).values)) == sol.final_residual
+
+
+def test_dirichlet_stall_fails_fast():
+    # widely spread levels: the residual stalls above 1e-10 at 65^2
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 65, 65)
+    phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y)
+    with pytest.raises(NoConvergenceError) as exc:
+        solve_dirichlet(params_from_levels((1e3, 2.0, 0.5, -1.0)), dom, phi)
+    assert exc.value.iterations <= 50
+
+
+@pytest.mark.parametrize("nx, ny", [(50, 38), (257, 257)])
+def test_dirichlet_converges_on_uncoarsenable_and_large_grids(nx, ny):
+    # 50x38 has even interior sides, so the whole grid is the exact coarsest level
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y)
+    sol = solve_dirichlet(P3, dom, phi)
+    assert sol.final_residual <= 1e-10
+    assert sol.iterations <= 20
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_vcycle_contracts_anisotropic_error(scale):
+    # both line directions are needed: c << 1 couples along x, c >> 1 along y
+    rng = np.random.default_rng(7)
+    coef = scale * rng.uniform(0.5, 2.0, (31, 31))
+    levels = _levels(coef, 2 / 32, 2 / 32)
+    assert [lv.cy.shape for lv in levels] == [(31, 31), (15, 15), (7, 7), (3, 3), (1, 1)]
+    b = rng.standard_normal(coef.shape)
+    exact = _block_solve(levels[0], b)
+    assert np.abs(levels[0].apply(np.pad(exact, 1)) - b).max() <= 1e-9
+    err = np.abs(_vcycle(levels, b) - exact).max() / np.abs(exact).max()
+    assert err <= 0.25
+
+
+@given(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4, max_size=4),
+    st.integers(min_value=3, max_value=33),
+    st.integers(min_value=3, max_value=33),
+)
+@settings(max_examples=40, deadline=None)
+def test_dirichlet_reproduces_bilinear_boundary(coefs, nx, ny):
+    c0, c1, c2, c3 = coefs
+    fstar = lambda x, y: c0 + c1 * x + c2 * y + c3 * x * y
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    sol = solve_dirichlet(P3, dom, BoundaryData.from_function(dom, fstar))
+    assert sol.iterations == 0
+    exact = ScalarField2D.from_function(dom, fstar)
+    assert np.max(np.abs(sol.f.values - exact.values)) <= 1e-12
+
+
 def test_transfinite_exact_on_bilinear():
     phi = BoundaryData.from_function(DOM, lambda x, y: 1 + 2 * x - y + 3 * x * y)
     f0 = transfinite_interpolant(phi)
@@ -229,8 +308,6 @@ def test_transfinite_exact_on_bilinear():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(sor_factor=2.5)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):

@@ -10,8 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# refinement_study.py is left out: its 129^2 solve takes several seconds.
-@pytest.mark.parametrize("script", ["calibration_sweep.py", "hl_survey.py"])
+@pytest.mark.parametrize("script", ["calibration_sweep.py", "hl_survey.py", "refinement_study.py"])
 def test_script_runs(script):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(

@@ -11,7 +11,7 @@ from slfold.errors import (
     ZeroOnLoopError,
 )
 from slfold.families import AffineSolution, affine_fields
-from slfold.grid import GridDomain, ScalarField2D
+from slfold.grid import GridDomain
 from slfold.winding import (
     LoopTrace,
     _round_turns,
