@@ -13,7 +13,6 @@ from .branch import (
     branch_sensitivity,
     branch_w_array,
     ellipticity_array,
-    ellipticity_coefficient,
     eval_p,
     eval_p_prime,
     params_from_levels,
@@ -40,7 +39,6 @@ from .embedding import (
     moment_residual,
     product_residual,
     sample_fields,
-    sample_surface,
     total_phase,
 )
 from .families import (
@@ -54,7 +52,6 @@ from .families import (
     hl_residual,
     hl_solve_alpha,
     hl_triple,
-    joyce_deviation,
 )
 from .grid import BoundaryData, GridDomain, ScalarField2D
 from .pde import (

@@ -133,11 +133,6 @@ def branch_sensitivity(params: ReductionParams, state: BranchState) -> float:
     return 1.0 / state.p_prime_at_w
 
 
-def ellipticity_coefficient(params: ReductionParams, s: float) -> float:
-    """F(s) = P'(w(s)): the coefficient of the reduced second-order equation."""
-    return solve_branch(params, s).p_prime_at_w
-
-
 def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     """Vectorised branch inversion; same tolerance as solve_branch."""
     s = np.asarray(s, dtype=float)

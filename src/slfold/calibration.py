@@ -57,11 +57,6 @@ class TangentFrame:
     def vectors(self) -> tuple[np.ndarray, ...]:
         return (*self.w_phi, self.wx, self.wy)
 
-    def real_rank(self) -> int:
-        """Rank of the 2n x n real matrix of frame vectors."""
-        m = np.column_stack(self.vectors())
-        return int(np.linalg.matrix_rank(np.vstack([m.real, m.imag])))
-
 
 @dataclass(frozen=True, eq=False)
 class CrossProductVector:

@@ -1,13 +1,15 @@
-"""Run configuration: a small TOML-style file with dotted sections.
+"""Run configuration: a TOML file read with the standard library's tomllib.
 
-Supported syntax: ``[section]`` / ``[a.b]`` headers, ``key = value`` pairs,
-``#`` comments; values are strings, numbers, booleans, or flat lists.
-Boundary data comes from a registry (affine, bilinear, inline values, or a
-CSV of traversal values) so no expression parser is needed.
+Sections are ``[params]`` and ``[domain]`` (required), and ``[boundary]``,
+``[solver]``, ``[outputs]`` and ``[embedding]`` (optional).  Boundary data
+comes from a registry (affine, bilinear, inline values, or a CSV of
+traversal values) so no expression parser is needed.
 """
 
 from __future__ import annotations
 
+import re
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,57 +21,16 @@ from .grid import BoundaryData, GridDomain
 from .pde import SolverConfig
 
 
-def _parse_scalar(tok: str, line_no: int):
-    tok = tok.strip()
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return tok[1:-1]
-    if tok in ("true", "false"):
-        return tok == "true"
-    try:
-        if any(c in tok for c in ".eE") and not tok.lstrip("+-").isdigit():
-            return float(tok)
-        return int(tok)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {tok!r}", line=line_no)
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse into a nested dict keyed by section path components."""
-    root: dict = {}
-    section = root
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError("unterminated section header", line=line_no,
-                                  column=len(raw.rstrip()))
-            path = line[1:-1].strip()
-            if not path:
-                raise ConfigError("empty section name", line=line_no)
-            section = root
-            for part in path.split("."):
-                section = section.setdefault(part.strip(), {})
-                if not isinstance(section, dict):
-                    raise ConfigError(f"section {path!r} collides with a key", line=line_no)
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", line=line_no, column=1)
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if not key:
-            raise ConfigError("empty key", line=line_no, column=1)
-        if rhs.startswith("["):
-            if not rhs.endswith("]"):
-                raise ConfigError("unterminated list", line=line_no, column=len(raw))
-            inner = rhs[1:-1].strip()
-            value = [] if not inner else [_parse_scalar(t, line_no) for t in inner.split(",")]
-        else:
-            value = _parse_scalar(rhs, line_no)
-        section[key] = value
-    return root
+    """Parse TOML into nested dicts; a syntax error becomes a located ConfigError."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        msg = str(exc)
+    at = re.search(r" \(at line (\d+), column (\d+)\)$", msg)
+    if at is None:  # "(at end of document)": the error is on the last line
+        raise ConfigError(msg.removesuffix(" (at end of document)"), line=len(text.splitlines()))
+    raise ConfigError(msg[: at.start()], line=int(at[1]), column=int(at[2]))
 
 
 @dataclass(frozen=True)
@@ -114,9 +75,9 @@ class RunConfig:
     domain: GridDomain
     boundary: BoundarySpec
     solver: SolverConfig
-    outputs: tuple[OutputSpec, ...] = ()
-    torus_resolution: int = 1
-    projection: str = "re:z1,im:z1,re:z2"
+    outputs: tuple[OutputSpec, ...]
+    torus_resolution: int
+    projection: str
 
 
 def _require(section: dict, key: str, where: str):
@@ -125,39 +86,53 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _section(data: dict, name: str) -> dict:
+    """The table [name]; {} when it is absent."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"[{name}] must be a table, got {section!r}")
+    return section
+
+
+def _integer(key: str, value) -> int:
+    """An integer key's value; an integral float such as 1e4 is accepted."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    psec = data.get("params")
-    if not isinstance(psec, dict):
-        raise ConfigError("missing [params] section")
+    """Validate parsed config data; a bad section, key or value raises ConfigError."""
+    try:
+        return _run_config(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc))
+
+
+def _run_config(data: dict) -> RunConfig:
+    psec = _section(data, "params")
     a = _require(psec, "a", "params")
     if not isinstance(a, list) or not a:
         raise ConfigError("params.a must be a nonempty list")
     a = tuple(float(v) for v in a)
-    n = int(psec.get("n", len(a) + 1))
-    try:
-        params = ReductionParams(n, a)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    n = _integer("n", psec.get("n", len(a) + 1))
+    params = ReductionParams(n, a)
 
-    dsec = data.get("domain")
-    if not isinstance(dsec, dict):
-        raise ConfigError("missing [domain] section")
-    try:
-        domain = GridDomain(
-            float(_require(dsec, "x0", "domain")),
-            float(_require(dsec, "x1", "domain")),
-            float(_require(dsec, "y0", "domain")),
-            float(_require(dsec, "y1", "domain")),
-            int(_require(dsec, "nx", "domain")),
-            int(_require(dsec, "ny", "domain")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    dsec = _section(data, "domain")
+    domain = GridDomain(
+        float(_require(dsec, "x0", "domain")),
+        float(_require(dsec, "x1", "domain")),
+        float(_require(dsec, "y0", "domain")),
+        float(_require(dsec, "y1", "domain")),
+        _integer("nx", _require(dsec, "nx", "domain")),
+        _integer("ny", _require(dsec, "ny", "domain")),
+    )
 
-    bsec = data.get("boundary", {})
-    kind = bsec.get("kind", "bilinear")
+    bsec = _section(data, "boundary")
     boundary = BoundarySpec(
-        kind=str(kind),
+        kind=str(bsec.get("kind", "bilinear")),
         coefficients=tuple(float(v) for v in bsec.get("coefficients", [])),
         values=tuple(float(v) for v in bsec.get("values", [])),
         path=str(bsec.get("path", "")),
@@ -169,37 +144,29 @@ def config_from_dict(data: dict) -> RunConfig:
     if boundary.kind not in ("affine", "bilinear", "inline", "csv"):
         raise ConfigError(f"unknown boundary kind {boundary.kind!r}")
 
-    ssec = data.get("solver", {})
-    try:
-        solver = SolverConfig(
-            tolerance=float(ssec.get("tolerance", 1e-10)),
-            max_iterations=int(ssec.get("max_iterations", 10_000)),
-            ellipticity_floor=float(ssec.get("ellipticity_floor", 1e-10)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    ssec = _section(data, "solver")
+    solver = SolverConfig(
+        tolerance=float(ssec.get("tolerance", 1e-10)),
+        max_iterations=_integer("max_iterations", ssec.get("max_iterations", 10_000)),
+        ellipticity_floor=float(ssec.get("ellipticity_floor", 1e-10)),
+    )
 
-    osec = data.get("outputs", {})
-    entries = osec.get("entries", []) if isinstance(osec, dict) else []
     outputs = []
-    for ent in entries:
+    for ent in _section(data, "outputs").get("entries", []):
         bits = str(ent).split(":")
         if len(bits) != 3 or bits[0] not in ("field", "embedding", "report") or bits[1] not in ("csv", "vtk", "json"):
             raise ConfigError(f"bad output entry {ent!r}; expected kind:format:path")
         outputs.append(OutputSpec(kind=bits[0], format=bits[1], path=bits[2]))
 
-    esec = data.get("embedding", {})
-    torus_resolution = int(esec.get("torus_resolution", 1)) if isinstance(esec, dict) else 1
-    projection = str(esec.get("projection", f"re:z{n},im:z{n},re:z1")) if isinstance(esec, dict) else f"re:z{n},im:z{n},re:z1"
-
+    esec = _section(data, "embedding")
     return RunConfig(
         params=params,
         domain=domain,
         boundary=boundary,
         solver=solver,
         outputs=tuple(outputs),
-        torus_resolution=torus_resolution,
-        projection=projection,
+        torus_resolution=_integer("torus_resolution", esec.get("torus_resolution", 1)),
+        projection=str(esec.get("projection", f"re:z{n},im:z{n},re:z1")),
     )
 
 

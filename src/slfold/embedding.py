@@ -19,7 +19,6 @@ import numpy as np
 from .branch import ReductionParams, solve_branch
 from .errors import SingularPointError
 from .grid import ScalarField2D, require_same_domain
-from .pde import PdeSolution
 
 # Exact powers of i, indexed mod 4.
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -159,10 +158,3 @@ def sample_fields(
             uu = float(u.values[i, j])
             samples.extend(_orbit_sample(x, y, uu, vv, base, angles) for angles in lattice)
     return SurfaceSamples(samples=samples, skipped_nodes=skipped)
-
-
-def sample_surface(
-    params: ReductionParams, sol: PdeSolution, torus_resolution: int
-) -> SurfaceSamples:
-    """sample_fields applied to the derivative fields of a solved potential."""
-    return sample_fields(params, sol.u, sol.v, torus_resolution)

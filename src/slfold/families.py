@@ -220,8 +220,3 @@ def joyce_check(a: float, s_grid: Sequence[float]) -> JoyceCheck:
     coef = ellipticity_array(params_from_levels((a, -a)), s)
     closed = 2.0 * np.sqrt(s + a * a)
     return JoyceCheck(coef, closed, float(np.max(np.abs(coef - closed), initial=0.0)))
-
-
-def joyce_deviation(a: float, s_grid: Sequence[float]) -> float:
-    """max_s |F(s) - 2 sqrt(s + a^2)| for a = (a, -a); see joyce_check."""
-    return joyce_check(a, s_grid).deviation

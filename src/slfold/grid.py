@@ -93,10 +93,6 @@ class ScalarField2D:
         xg, yg = np.meshgrid(domain.xs(), domain.ys(), indexing="ij")
         return cls(domain, np.asarray(fn(xg, yg), dtype=float))
 
-    @classmethod
-    def constant(cls, domain: GridDomain, value: float) -> "ScalarField2D":
-        return cls(domain, np.full((domain.nx, domain.ny), float(value)))
-
     def interp(self, x: float, y: float) -> float:
         """Bilinear interpolation at an interior-or-boundary point."""
         d = self.domain
@@ -145,11 +141,6 @@ class BoundaryData:
         ii, jj = boundary_indices(domain.nx, domain.ny)
         xs, ys = domain.xs(), domain.ys()
         return cls(domain, np.asarray(fn(xs[ii], ys[jj]), dtype=float))
-
-    @classmethod
-    def from_field(cls, field: ScalarField2D) -> "BoundaryData":
-        ii, jj = boundary_indices(field.domain.nx, field.domain.ny)
-        return cls(field.domain, field.values[ii, jj])
 
     def apply_to(self, arr: np.ndarray) -> None:
         ii, jj = boundary_indices(self.domain.nx, self.domain.ny)

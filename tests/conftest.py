@@ -10,6 +10,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from slfold.branch import ReductionParams  # noqa: E402
+from slfold.grid import GridDomain, ScalarField2D  # noqa: E402
 
 
 @pytest.fixture
@@ -25,3 +26,7 @@ def random_params(rng, n=None, lo=-2.0, hi=3.0) -> ReductionParams:
         a = rng.uniform(lo, hi, n - 1)
         if (a == a.min()).sum() == 1:
             return ReductionParams(n, tuple(a))
+
+
+def constant_field(domain: GridDomain, value: float) -> ScalarField2D:
+    return ScalarField2D(domain, np.full((domain.nx, domain.ny), float(value)))

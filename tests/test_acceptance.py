@@ -34,7 +34,7 @@ from slfold.families import (
     hl_residual,
     hl_solve_alpha,
     hl_triple,
-    joyce_deviation,
+    joyce_check,
 )
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D
 from slfold.pde import SolverConfig, residual_first_order, solve_dirichlet
@@ -69,7 +69,7 @@ def test_criterion_01_branch_inversion():
 
 
 def test_criterion_02_joyce_recovery():
-    worst = max(joyce_deviation(a, np.linspace(0.0, 100.0, 1000)) for a in (0.5, 1.0, 2.0))
+    worst = max(joyce_check(a, np.linspace(0.0, 100.0, 1000)).deviation for a in (0.5, 1.0, 2.0))
     _report("criterion 2 closed-form coefficient recovery", worst <= 1e-10, f"max dev {worst:.2e}")
 
 

@@ -10,7 +10,6 @@ from slfold.branch import (
     ReductionParams,
     branch_sensitivity,
     branch_w_array,
-    ellipticity_coefficient,
     eval_p,
     eval_p_prime,
     params_from_levels,
@@ -83,15 +82,15 @@ def test_degenerate_branch_refuses():
 
 
 def test_coefficient_examples():
-    assert ellipticity_coefficient(params_from_levels((2.0, -2.0)), 0.0) == pytest.approx(4.0, rel=1e-12)
-    assert ellipticity_coefficient(params_from_levels((1.0, 2.0, 3.0)), 6.0) == pytest.approx(11.0, rel=1e-10)
+    assert solve_branch(params_from_levels((2.0, -2.0)), 0.0).p_prime_at_w == pytest.approx(4.0, rel=1e-12)
+    assert solve_branch(params_from_levels((1.0, 2.0, 3.0)), 6.0).p_prime_at_w == pytest.approx(11.0, rel=1e-10)
 
 
 def test_joyce_closed_form_coefficient():
     for a in (0.5, 1.0, 2.0):
         p = params_from_levels((a, -a))
         for s in np.concatenate([[0.0], np.logspace(-4, 2, 31)]):
-            assert ellipticity_coefficient(p, float(s)) == pytest.approx(
+            assert solve_branch(p, float(s)).p_prime_at_w == pytest.approx(
                 2 * math.sqrt(s + a * a), abs=1e-10
             )
 

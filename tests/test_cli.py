@@ -88,6 +88,14 @@ def test_solve_missing_config_exit1(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "none.toml")]) == 1
 
 
+@pytest.mark.parametrize("section", ["boundary", "solver", "outputs", "embedding"])
+def test_solve_non_table_section_exit1(tmp_path, section):
+    path = tmp_path / "scalar.toml"
+    tables = [t for t in CONFIG.split("\n\n") if not t.startswith(f"[{section}]")]
+    path.write_text(f"{section} = 1\n" + "\n\n".join(tables))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
 def test_solve_no_convergence_exit2(tmp_path):
     path = tmp_path / "tight.toml"
     values = ", ".join(str(float(k % 7)) for k in range(2 * (17 + 17) - 4))

@@ -69,6 +69,50 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("x = @nope")
 
 
+def test_parse_strings_keep_hash_and_comma():
+    data = parse_config_text('path = "runs/#3/phi.csv"  # comment\nentries = ["field:csv:a,b"]\n')
+    assert data == {"path": "runs/#3/phi.csv", "entries": ["field:csv:a,b"]}
+
+
+def test_parse_multiline_array():
+    assert parse_config_text("a = [\n 1.0,\n -1.0,\n]\n") == {"a": [1.0, -1.0]}
+
+
+def test_parse_duplicate_key_is_located():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("[solver]\ntolerance = 1e-10\ntolerance = 1e-8\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("n = 3", "n = 3.7", "n"),
+        ("nx = 9", "nx = 33.9", "nx"),
+        ("ny = 9", "ny = false", "ny"),
+        ("max_iterations = 500", "max_iterations = 2.5", "max_iterations"),
+        ("torus_resolution = 4", "torus_resolution = true", "torus_resolution"),
+        ("torus_resolution = 4", 'torus_resolution = "4"', "torus_resolution"),
+    ],
+)
+def test_config_rejects_non_integral_integer_keys(old, new, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+        config_from_dict(parse_config_text(BASE.replace(old, new)))
+
+
+def test_config_accepts_integral_float_for_integer_key():
+    cfg = config_from_dict(parse_config_text(BASE.replace("max_iterations = 500", "max_iterations = 1e4")))
+    assert cfg.solver.max_iterations == 10_000 and type(cfg.solver.max_iterations) is int
+
+
+def test_config_rejects_non_table_section():
+    for section in ("boundary", "solver", "outputs", "embedding"):
+        data = parse_config_text(BASE)
+        data[section] = 1
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] must be a table"):
+            config_from_dict(data)
+
+
 def test_config_from_dict_full():
     cfg = config_from_dict(parse_config_text(BASE))
     assert cfg.params.n == 3 and cfg.params.a == (1.0, -1.0)
@@ -106,6 +150,14 @@ def test_config_rejects_bad_values():
         config_from_dict(data)
     data = parse_config_text(BASE)
     data["boundary"]["coefficients"] = [1.0]
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+    # TOML values of a type no key takes: a date, nested arrays
+    data = parse_config_text(BASE.replace("tolerance = 1e-10", "tolerance = 1979-05-27"))
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+    data = parse_config_text(BASE)
+    data["params"]["a"] = [[1.0], [-1.0]]
     with pytest.raises(ConfigError):
         config_from_dict(data)
 

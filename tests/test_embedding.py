@@ -17,7 +17,7 @@ from slfold.embedding import (
 from slfold.errors import SingularPointError
 from slfold.grid import GridDomain, ScalarField2D
 
-from conftest import random_params
+from conftest import constant_field, random_params
 
 
 def test_unit_power_table():
@@ -160,8 +160,8 @@ def test_sample_fields_skips_singular_nodes():
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 3, 3)
     params = params_from_levels((0.0, 0.0))  # degenerate minimum
     # v vanishes on the whole grid; the y = 0 row collapses
-    u = ScalarField2D.constant(dom, 0.3)
-    v = ScalarField2D.constant(dom, 0.0)
+    u = constant_field(dom, 0.3)
+    v = constant_field(dom, 0.0)
     out = sample_fields(params, u, v, 2)
     assert out.skipped_nodes == [(0, 1), (1, 1), (2, 1)]
     assert len(out.samples) == (9 - 3) * 2
@@ -187,9 +187,7 @@ def test_sample_surface_from_solution():
     params = params_from_levels((1.0, -1.0))
     phi = BoundaryData.from_function(dom, lambda x, y: 0.5 * x * y + x)
     sol = solve_dirichlet(params, dom, phi)
-    from slfold.embedding import sample_surface
-
-    out = sample_surface(params, sol, 3)
+    out = sample_fields(params, sol.u, sol.v, 3)
     assert len(out.samples) == 25 * 3
     for s in out.samples[:6]:
         assert np.max(np.abs(moment_residual(params, s))) <= 1e-10

@@ -22,7 +22,7 @@ from slfold.families import (
     hl_residual,
     hl_solve_alpha,
     hl_triple,
-    joyce_deviation,
+    joyce_check,
 )
 from slfold.grid import GridDomain
 from slfold.pde import residual_first_order
@@ -198,14 +198,14 @@ def test_hl_config_requires_trailing_zero():
 # --- classical 3-dimensional reduction ------------------------------------------------
 
 def test_joyce_deviation_examples():
-    assert joyce_deviation(1.0, np.linspace(0, 100, 200)) <= 1e-10
-    assert joyce_deviation(2.0, [0.0]) <= 1e-12
-    assert joyce_deviation(0.5, [0.0]) <= 1e-12
+    assert joyce_check(1.0, np.linspace(0, 100, 200)).deviation <= 1e-10
+    assert joyce_check(2.0, [0.0]).deviation <= 1e-12
+    assert joyce_check(0.5, [0.0]).deviation <= 1e-12
 
 
 def test_joyce_deviation_rejects_zero_a():
     with pytest.raises(ValueError):
-        joyce_deviation(0.0, [1.0])
+        joyce_check(0.0, [1.0])
 
 
 @given(st.floats(min_value=0.25, max_value=4.0), st.integers(min_value=0, max_value=2**32 - 1))
@@ -213,4 +213,4 @@ def test_joyce_deviation_rejects_zero_a():
 def test_joyce_deviation_property(a, seed):
     rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0, 100, 20))
-    assert joyce_deviation(a, s) <= 1e-10
+    assert joyce_check(a, s).deviation <= 1e-10

@@ -25,7 +25,7 @@ from slfold.pde import (
     transfinite_interpolant,
 )
 
-from conftest import random_params
+from conftest import constant_field, random_params
 
 P3 = params_from_levels((1.0, -1.0))
 DOM = GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 17)
@@ -68,8 +68,8 @@ def test_first_order_residual_affine_is_zero(rng):
 
 
 def test_first_order_residual_zero_fields():
-    u = ScalarField2D.constant(DOM, 0.0)
-    v = ScalarField2D.constant(DOM, 0.0)
+    u = constant_field(DOM, 0.0)
+    v = constant_field(DOM, 0.0)
     r1, r2 = residual_first_order(P3, u, v)
     assert np.max(np.abs(r1.values)) == 0.0
     assert np.max(np.abs(r2.values)) == 0.0
@@ -90,12 +90,12 @@ def test_first_order_residual_swap_pair():
 def test_first_order_residual_domain_mismatch():
     other = GridDomain(-1.0, 1.0, -1.0, 1.0, 9, 9)
     with pytest.raises(DomainMismatchError):
-        residual_first_order(P3, ScalarField2D.constant(DOM, 0.0), ScalarField2D.constant(other, 0.0))
+        residual_first_order(P3, constant_field(DOM, 0.0), constant_field(other, 0.0))
 
 
 def test_potential_residual_examples():
     assert np.max(np.abs(residual_potential(P3, field(lambda x, y: 1.3 * x * y + 0.2 * x -.7 * y)).values)) <= 1e-12
-    assert np.max(np.abs(residual_potential(P3, ScalarField2D.constant(DOM, 4.2)).values)) == 0.0
+    assert np.max(np.abs(residual_potential(P3, constant_field(DOM, 4.2)).values)) == 0.0
     r = residual_potential(P3, field(lambda x, y: x**2 + 0 * y))
     assert np.allclose(r.values[1:-1, 1:-1], 2.0, atol=1e-11)
     assert np.all(r.values[0, :] == 0) and np.all(r.values[:, 0] == 0)
@@ -108,7 +108,7 @@ def test_recover_uv_exactness():
     assert np.allclose(u.values, al * xg + be, atol=1e-13)
     assert np.allclose(v.values, al * yg + ga, atol=1e-13)
 
-    u0, v0 = recover_uv(ScalarField2D.constant(DOM, 3.0))
+    u0, v0 = recover_uv(constant_field(DOM, 3.0))
     assert np.max(np.abs(u0.values)) == 0.0 and np.max(np.abs(v0.values)) == 0.0
 
     uq, vq = recover_uv(field(lambda x, y: x**2 + 0 * y))
