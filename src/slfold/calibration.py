@@ -197,13 +197,10 @@ def cross_product_det(vectors: Sequence[np.ndarray]) -> CrossProductVector:
     n = vecs[0].size
     if len(vecs) != n - 1:
         raise ValueError(f"need n-1 = {n - 1} vectors in C^{n}, got {len(vecs)}")
-    base = np.column_stack(vecs)
-    comps = np.empty(n, dtype=complex)
-    for j in range(n):
-        ej = np.zeros(n, dtype=complex)
-        ej[j] = 1.0
-        comps[j] = np.linalg.det(np.column_stack([base, ej]))
-    return CrossProductVector(comps)
+    stack = np.empty((n, n, n), dtype=complex)
+    stack[:, :, : n - 1] = np.column_stack(vecs)
+    stack[:, :, n - 1] = np.eye(n)  # matrix j ends in e_j
+    return CrossProductVector(np.linalg.det(stack))
 
 
 def cross_product_closed_form(

@@ -122,7 +122,7 @@ def cmd_solve(args) -> int:
         "params": {"n": cfg.params.n, "a": list(cfg.params.a)},
         "tolerance": cfg.solver.tolerance,
     }
-    wrote_any = False
+    cloud = None  # lifted once, however many embedding entries there are
     for spec in cfg.outputs:
         target = out / spec.path
         if spec.kind == "field":
@@ -130,15 +130,16 @@ def cmd_solve(args) -> int:
             suffix = ".csv" if spec.format == "csv" else ".vtk"
             for name, fld in (("f", sol.f), ("u", sol.u), ("v", sol.v)):
                 writer(fld, target.parent / f"{target.name}_{name}{suffix}", name=name)
-            wrote_any = True
         elif spec.kind == "report":
             write_json(report, target)
-            wrote_any = True
-        elif spec.kind == "embedding":
-            cloud = sample_fields(cfg.params, sol.u, sol.v, cfg.torus_resolution)
-            write_samples_csv(cloud.samples, cfg.params.n, target)
-            wrote_any = True
-    if not wrote_any:
+        else:  # embedding
+            if cloud is None:
+                cloud = sample_fields(cfg.params, sol.u, sol.v, cfg.torus_resolution)
+            if spec.format == "vtk":
+                write_points_vtk(cloud, parse_projection(cfg.projection, cfg.params.n), target)
+            else:
+                write_samples_csv(cloud, target)
+    if not cfg.outputs:
         for name, fld in (("f", sol.f), ("u", sol.u), ("v", sol.v)):
             write_field_csv(fld, out / f"{name}.csv", name=name)
         write_json(report, out / "report.json")
@@ -302,19 +303,19 @@ def cmd_embed(args) -> int:
     cloud = sample_fields(cfg.params, u, v, torus_res)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(cloud.samples, cfg.params.n, out / "points.csv")
+    write_samples_csv(cloud, out / "points.csv")
     if args.vtk:
-        write_points_vtk(cloud.samples, proj, out / "points.vtk")
+        write_points_vtk(cloud, proj, out / "points.vtk")
     write_json(
         {
-            "samples": len(cloud.samples),
+            "samples": len(cloud.z),
             "skipped_nodes": [list(t) for t in cloud.skipped_nodes],
             "torus_resolution": torus_res,
             "projection": proj_spec,
         },
         out / "skip_report.json",
     )
-    print(f"embedded {len(cloud.samples)} samples ({len(cloud.skipped_nodes)} nodes skipped)")
+    print(f"embedded {len(cloud.z)} samples ({len(cloud.skipped_nodes)} nodes skipped)")
     return 0
 
 
@@ -330,12 +331,7 @@ def cmd_wind(args) -> int:
     steps = angle_increments(trace)
     wind = winding_number(trace)
     if args.out:
-        cum = np.cumsum(steps)
-        rows = [
-            (trace.points[k, 0], trace.points[k, 1],
-             trace.values[k, 0], trace.values[k, 1], float(cum[k]))
-            for k in range(len(steps))
-        ]
+        rows = np.column_stack([trace.points, trace.values, np.cumsum(steps)]).tolist()
         write_rows_csv(("x", "y", "f1", "f2", "cumulative_angle"), rows, args.out)
     print(f"winding={wind}")
     return 0

@@ -103,6 +103,24 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    """A float key's value: an integer or a float, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    """A float list's value, each entry checked by _number."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(key, v) for v in value)
+
+
+# The formats the CLI writes for each output kind.
+_OUTPUT_FORMATS = {"field": ("csv", "vtk"), "embedding": ("csv", "vtk"), "report": ("json",)}
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """Validate parsed config data; a bad section, key or value raises ConfigError."""
     try:
@@ -113,19 +131,15 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def _run_config(data: dict) -> RunConfig:
     psec = _section(data, "params")
-    a = _require(psec, "a", "params")
-    if not isinstance(a, list) or not a:
+    a = _numbers("a", _require(psec, "a", "params"))
+    if not a:
         raise ConfigError("params.a must be a nonempty list")
-    a = tuple(float(v) for v in a)
     n = _integer("n", psec.get("n", len(a) + 1))
     params = ReductionParams(n, a)
 
     dsec = _section(data, "domain")
     domain = GridDomain(
-        float(_require(dsec, "x0", "domain")),
-        float(_require(dsec, "x1", "domain")),
-        float(_require(dsec, "y0", "domain")),
-        float(_require(dsec, "y1", "domain")),
+        *(_number(key, _require(dsec, key, "domain")) for key in ("x0", "x1", "y0", "y1")),
         _integer("nx", _require(dsec, "nx", "domain")),
         _integer("ny", _require(dsec, "ny", "domain")),
     )
@@ -133,8 +147,8 @@ def _run_config(data: dict) -> RunConfig:
     bsec = _section(data, "boundary")
     boundary = BoundarySpec(
         kind=str(bsec.get("kind", "bilinear")),
-        coefficients=tuple(float(v) for v in bsec.get("coefficients", [])),
-        values=tuple(float(v) for v in bsec.get("values", [])),
+        coefficients=_numbers("coefficients", bsec.get("coefficients", [])),
+        values=_numbers("values", bsec.get("values", [])),
         path=str(bsec.get("path", "")),
     )
     if boundary.kind == "affine" and len(boundary.coefficients) != 3:
@@ -146,16 +160,22 @@ def _run_config(data: dict) -> RunConfig:
 
     ssec = _section(data, "solver")
     solver = SolverConfig(
-        tolerance=float(ssec.get("tolerance", 1e-10)),
+        tolerance=_number("tolerance", ssec.get("tolerance", 1e-10)),
         max_iterations=_integer("max_iterations", ssec.get("max_iterations", 10_000)),
-        ellipticity_floor=float(ssec.get("ellipticity_floor", 1e-10)),
+        ellipticity_floor=_number("ellipticity_floor", ssec.get("ellipticity_floor", 1e-10)),
     )
 
+    entries = _section(data, "outputs").get("entries", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"entries must be a list of kind:format:path strings, got {entries!r}")
     outputs = []
-    for ent in _section(data, "outputs").get("entries", []):
+    for ent in entries:
         bits = str(ent).split(":")
-        if len(bits) != 3 or bits[0] not in ("field", "embedding", "report") or bits[1] not in ("csv", "vtk", "json"):
-            raise ConfigError(f"bad output entry {ent!r}; expected kind:format:path")
+        if len(bits) != 3 or bits[1] not in _OUTPUT_FORMATS.get(bits[0], ()):
+            raise ConfigError(
+                f"bad output entry {ent!r}; expected kind:format:path with field:csv|vtk, "
+                "embedding:csv|vtk or report:json"
+            )
         outputs.append(OutputSpec(kind=bits[0], format=bits[1], path=bits[2]))
 
     esec = _section(data, "embedding")

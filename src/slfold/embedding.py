@@ -74,14 +74,6 @@ def _base_point(params: ReductionParams, v: float, y: float) -> tuple[float, flo
     return theta_sum, w, np.sqrt(radicand)
 
 
-def _orbit_sample(x, y, u, v, base, angles: tuple[float, ...]) -> EmbeddedSample:
-    """The point over (x, y, u, v) at torus angles (t_1, ..., t_{n-2}); base from _base_point."""
-    theta_sum, w, radii = base
-    z = np.append(radii * np.exp(1j * np.array(angles + (theta_sum - sum(angles),))), complex(x, u))
-    return EmbeddedSample(z=z, x=float(x), y=float(y), u=float(u), v=float(v),
-                          w=w, theta_total=theta_sum, torus_angles=angles)
-
-
 def lift_point(
     params: ReductionParams,
     x: float,
@@ -100,7 +92,10 @@ def lift_point(
     angles = tuple(float(t) for t in (torus_angles if torus_angles is not None else [0.0] * (n - 2)))
     if len(angles) != n - 2:
         raise ValueError(f"need n-2 = {n - 2} torus angles, got {len(angles)}")
-    return _orbit_sample(x, y, u, v, _base_point(params, v, y), angles)
+    theta_sum, w, radii = _base_point(params, v, y)
+    z = np.append(radii * np.exp(1j * np.array(angles + (theta_sum - sum(angles),))), complex(x, u))
+    return EmbeddedSample(z=z, x=float(x), y=float(y), u=float(u), v=float(v),
+                          w=w, theta_total=theta_sum, torus_angles=angles)
 
 
 def moment_residual(params: ReductionParams, sample: EmbeddedSample) -> np.ndarray:
@@ -118,9 +113,13 @@ def product_residual(params: ReductionParams, sample: EmbeddedSample) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceSamples:
-    """Lifted samples over a solution grid plus the skipped singular nodes."""
+    """Lifted samples over a solution grid as columns, plus the skipped singular nodes.
 
-    samples: list[EmbeddedSample]
+    Row k of base holds (x, y, u, v, w, Theta) and row k of z the point in C^n.
+    """
+
+    base: np.ndarray  # shape (N, 6)
+    z: np.ndarray     # shape (N, n), complex
     skipped_nodes: list[tuple[int, int]]
 
 
@@ -132,29 +131,34 @@ def sample_fields(
     The branch is solved once per node and shared by its torus orbit.  Nodes
     with (v, y) = (0, 0) in the singular regime are skipped and recorded
     rather than raised; ordering is node-major (i outer, j inner) then
-    torus-index-major.
+    torus-index-major, the lattice angles (t_1, ..., t_{n-2}) running as
+    itertools.product over multiples of 2 pi / torus_resolution.
     """
     if torus_resolution < 1:
         raise ValueError("torus_resolution must be >= 1")
     n = params.n
     dom = require_same_domain(u, v)
-    xs, ys = dom.xs(), dom.ys()
-    step = 2.0 * np.pi / torus_resolution
-    lattice = [tuple(step * m for m in idx)
-               for idx in itertools.product(range(torus_resolution), repeat=n - 2)]
-
-    samples: list[EmbeddedSample] = []
+    ys = dom.ys().tolist()
+    nodes: list[tuple[float, ...]] = []  # x, y, u, v, w, Theta, radii
     skipped: list[tuple[int, int]] = []
-    for i in range(dom.nx):
-        x = float(xs[i])
-        for j in range(dom.ny):
-            vv = float(v.values[i, j])
-            y = float(ys[j])
+    for i, (x, ucol, vcol) in enumerate(zip(dom.xs().tolist(), u.values.tolist(), v.values.tolist())):
+        for j, (y, uu, vv) in enumerate(zip(ys, ucol, vcol)):
             try:
-                base = _base_point(params, vv, y)
+                theta_sum, w, radii = _base_point(params, vv, y)
             except SingularPointError:
                 skipped.append((i, j))
                 continue
-            uu = float(u.values[i, j])
-            samples.extend(_orbit_sample(x, y, uu, vv, base, angles) for angles in lattice)
-    return SurfaceSamples(samples=samples, skipped_nodes=skipped)
+            nodes.append((x, y, uu, vv, w, theta_sum, *radii))
+
+    indices = itertools.product(range(torus_resolution), repeat=n - 2)
+    lattice = 2.0 * np.pi / torus_resolution * np.array(list(indices), dtype=float)
+    table = np.repeat(np.array(nodes, dtype=float).reshape(-1, 5 + n), len(lattice), axis=0)
+    base, radii = table[:, :6], table[:, 6:]
+    angles = np.tile(lattice, (len(nodes), 1))
+    # the angle sum runs left to right, as sum() adds the angles in lift_point
+    phases = np.column_stack([angles, base[:, 5] - angles.cumsum(axis=1)[:, -1]])
+    z = np.empty((len(table), n), dtype=complex)
+    z[:, : n - 1] = radii * np.exp(1j * phases)
+    z[:, n - 1].real = base[:, 0]  # not x + 1j*u, which can flip the sign of a zero
+    z[:, n - 1].imag = base[:, 2]
+    return SurfaceSamples(base=base, z=z, skipped_nodes=skipped)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddedSample
+from .embedding import SurfaceSamples
 from .grid import GridDomain, ScalarField2D
 
 
@@ -28,21 +28,33 @@ def write_field_csv(field: ScalarField2D, path: str | Path, name: str = "value")
 
 
 def read_field_csv(path: str | Path) -> ScalarField2D:
+    """Read what write_field_csv writes: x,y,value rows over a uniform grid, x outer, y inner.
+
+    Rows in any other order, a missing node, or nodes spaced unevenly by more
+    than 1e-9 of the axis span raise ValueError.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text or "," not in text[0]:
         raise ValueError(f"{path}: not a field CSV")
     rows = [line.split(",") for line in text[1:]]
+    if any(len(r) != 3 for r in rows):
+        raise ValueError(f"{path}: every row must be x,y,value")
     xs = np.array([float(r[0]) for r in rows])
     ys = np.array([float(r[1]) for r in rows])
     vals = np.array([float(r[2]) for r in rows])
     ux = np.unique(xs)
     uy = np.unique(ys)
     nx, ny = ux.size, uy.size
-    if nx * ny != vals.size:
-        raise ValueError(f"{path}: rows do not form a full tensor grid")
+    if not vals.size or nx * ny != vals.size or not (
+        np.array_equal(xs, np.repeat(ux, ny)) and np.array_equal(ys, np.tile(uy, nx))
+    ):
+        raise ValueError(f"{path}: rows do not form a full node-major tensor grid (x outer, y inner)")
+    for name, nodes in (("x", ux), ("y", uy)):
+        span = nodes[-1] - nodes[0]
+        if np.max(np.abs(nodes - np.linspace(nodes[0], nodes[-1], nodes.size))) > 1e-9 * span:
+            raise ValueError(f"{path}: {name} nodes are not uniform to 1e-9 of their span")
     dom = GridDomain(float(ux[0]), float(ux[-1]), float(uy[0]), float(uy[-1]), nx, ny)
-    grid = vals.reshape(nx, ny)  # node-major in x matches the writer
-    return ScalarField2D(dom, grid)
+    return ScalarField2D(dom, vals.reshape(nx, ny))
 
 
 def write_field_vtk(field: ScalarField2D, path: str | Path, name: str = "value") -> None:
@@ -57,17 +69,14 @@ def write_field_vtk(field: ScalarField2D, path: str | Path, name: str = "value")
         f"POINTS {dom.nx * dom.ny} double",
     ]
     # VTK structured order: x varies fastest
-    for j in range(dom.ny):
-        for i in range(dom.nx):
-            lines.append(f"{fmt(xs[i])} {fmt(ys[j])} 0")
+    nodes = np.column_stack([np.tile(xs, dom.ny), np.repeat(ys, dom.nx)])
+    lines += ("%.17g %.17g 0" % tuple(row) for row in _float_rows(nodes))
     lines += [
         f"POINT_DATA {dom.nx * dom.ny}",
         f"SCALARS {name} double 1",
         "LOOKUP_TABLE default",
     ]
-    for j in range(dom.ny):
-        for i in range(dom.nx):
-            lines.append(fmt(field.values[i, j]))
+    lines += map(fmt, field.values.T.ravel().tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -78,15 +87,9 @@ def sample_header(n: int) -> list[str]:
     return cols
 
 
-def sample_row(sample: EmbeddedSample) -> list[float]:
-    row = [sample.x, sample.y, sample.u, sample.v, sample.w, sample.theta_total]
-    for zk in sample.z:
-        row += [zk.real, zk.imag]
-    return row
-
-
-def write_samples_csv(samples: Sequence[EmbeddedSample], n: int, path: str | Path) -> None:
-    write_rows_csv(sample_header(n), map(sample_row, samples), path)
+def write_samples_csv(cloud: SurfaceSamples, path: str | Path) -> None:
+    table = np.hstack([cloud.base, cloud.z.view(float)])
+    write_rows_csv(sample_header(cloud.z.shape[1]), _float_rows(table), path)
 
 
 # --- point-cloud projections -------------------------------------------------
@@ -111,35 +114,31 @@ def parse_projection(spec: str, n: int) -> list[tuple[str, int]]:
     return out
 
 
-def project_sample(sample: EmbeddedSample, proj: list[tuple[str, int]]) -> tuple[float, float, float]:
-    vals = []
-    for kind, idx in proj:
-        zk = sample.z[idx - 1]
-        vals.append(zk.real if kind == "re" else zk.imag)
-    return tuple(vals)  # type: ignore[return-value]
-
-
-def write_points_vtk(
-    samples: Sequence[EmbeddedSample], proj: list[tuple[str, int]], path: str | Path
-) -> None:
+def write_points_vtk(cloud: SurfaceSamples, proj: list[tuple[str, int]], path: str | Path) -> None:
+    z = cloud.z
+    cols = [z[:, idx - 1].real if kind == "re" else z[:, idx - 1].imag for kind, idx in proj]
+    count = len(z)
     lines = [
         "# vtk DataFile Version 3.0",
         "embedded samples",
         "ASCII",
         "DATASET POLYDATA",
-        f"POINTS {len(samples)} double",
+        f"POINTS {count} double",
     ]
-    for s in samples:
-        px, py, pz = project_sample(s, proj)
-        lines.append(f"{fmt(px)} {fmt(py)} {fmt(pz)}")
-    lines.append(f"VERTICES {len(samples)} {2 * len(samples)}")
-    for k in range(len(samples)):
-        lines.append(f"1 {k}")
+    lines += ("%.17g %.17g %.17g" % tuple(row) for row in _float_rows(np.column_stack(cols)))
+    lines.append(f"VERTICES {count} {2 * count}")
+    lines += (f"1 {k}" for k in range(count))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_json(obj: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _float_rows(table: np.ndarray, block: int = 4096) -> Iterator[list[float]]:
+    """Rows of a 2-d float array as lists of Python floats, converted a block at a time."""
+    for start in range(0, len(table), block):
+        yield from table[start : start + block].tolist()
 
 
 def write_rows_csv(header: Iterable[str], rows: Iterable[Sequence], path: str | Path) -> None:

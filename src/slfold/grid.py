@@ -93,16 +93,17 @@ class ScalarField2D:
         xg, yg = np.meshgrid(domain.xs(), domain.ys(), indexing="ij")
         return cls(domain, np.asarray(fn(xg, yg), dtype=float))
 
-    def interp(self, x: float, y: float) -> float:
-        """Bilinear interpolation at an interior-or-boundary point."""
+    def interp(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation, elementwise, at interior-or-boundary points."""
         d = self.domain
-        ix = int(np.clip(np.floor((x - d.x0) / d.hx), 0, d.nx - 2))
-        jy = int(np.clip(np.floor((y - d.y0) / d.hy), 0, d.ny - 2))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ix = np.clip(np.floor((x - d.x0) / d.hx), 0, d.nx - 2).astype(int)
+        jy = np.clip(np.floor((y - d.y0) / d.hy), 0, d.ny - 2).astype(int)
         # ix * hx + x0 is xs()[ix] bit for bit: linspace computes i * step + start
         t = (x - (ix * d.hx + d.x0)) / d.hx
         u = (y - (jy * d.hy + d.y0)) / d.hy
         v = self.values
-        return float(
+        return (
             (1 - t) * (1 - u) * v[ix, jy]
             + t * (1 - u) * v[ix + 1, jy]
             + (1 - t) * u * v[ix, jy + 1]

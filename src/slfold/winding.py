@@ -106,12 +106,8 @@ def difference_trace(
     ):
         raise OutOfDomainError("the circle does not fit inside the grid domain")
     pts = circle_points(center, radius, samples)
-    vals = np.array(
-        [
-            [u1.interp(x, y) - u2.interp(x, y), v1.interp(x, y) - v2.interp(x, y)]
-            for x, y in pts
-        ]
-    )
+    x, y = pts.T
+    vals = np.column_stack([u1.interp(x, y) - u2.interp(x, y), v1.interp(x, y) - v2.interp(x, y)])
     return LoopTrace(points=pts, values=vals)
 
 

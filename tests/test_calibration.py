@@ -264,6 +264,15 @@ def test_cross_product_det_small_cases():
     assert np.allclose(out3.components, [0.0, 0.0, 1.0])
 
 
+def test_cross_product_det_equals_one_determinant_per_component(rng):
+    # the stacked det call against det of [v_1 | ... | v_{n-1} | e_j], one j at a time
+    for n in (3, 4, 5, 6):
+        vecs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n - 1)]
+        comps = cross_product_det(vecs).components
+        ref = [np.linalg.det(np.column_stack([*vecs, np.eye(n)[j]])) for j in range(n)]
+        assert comps.tobytes() == np.array(ref).tobytes()
+
+
 def test_cross_product_vector_is_calibrated_dual(rng):
     # g(conj(components), w) = Re det[v1...v_{n-1}, w] for arbitrary w
     params = random_params(rng, n=4)

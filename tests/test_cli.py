@@ -96,6 +96,30 @@ def test_solve_non_table_section_exit1(tmp_path, section):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_solve_embedding_vtk_entry_writes_vtk(tmp_path):
+    path = tmp_path / "run.toml"
+    path.write_text(CONFIG.replace('"field:csv:fields", "report:json:report.json"',
+                                   '"embedding:vtk:cloud.vtk", "embedding:csv:cloud.csv"'))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    vtk = (out / "cloud.vtk").read_text().splitlines()
+    assert vtk[:5] == ["# vtk DataFile Version 3.0", "embedded samples", "ASCII",
+                       "DATASET POLYDATA", "POINTS 289 double"]
+    # the default projection re:z3,im:z3,re:z1 picks columns of the CSV
+    rows = np.loadtxt(out / "cloud.csv", delimiter=",", skiprows=1)
+    points = np.array([[float(t) for t in line.split()] for line in vtk[5:5 + 289]])
+    assert np.array_equal(points, rows[:, [10, 11, 6]])
+
+
+@pytest.mark.parametrize("entry", ["report:csv:rep.csv", "field:json:f"])
+def test_solve_output_format_not_written_exit1(tmp_path, entry):
+    path = tmp_path / "run.toml"
+    path.write_text(CONFIG.replace('"report:json:report.json"', f'"{entry}"'))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_solve_no_convergence_exit2(tmp_path):
     path = tmp_path / "tight.toml"
     values = ", ".join(str(float(k % 7)) for k in range(2 * (17 + 17) - 4))

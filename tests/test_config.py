@@ -160,6 +160,34 @@ def test_config_rejects_bad_values():
     data["params"]["a"] = [[1.0], [-1.0]]
     with pytest.raises(ConfigError):
         config_from_dict(data)
+    # booleans and values of the wrong type, each rejected with the key named
+    for old, new, key in [
+        ("tolerance = 1e-10", "tolerance = true", "tolerance"),
+        ("a = [1.0, -1.0]", "a = [true, false]", "a"),
+        ("x0 = -1.0", "x0 = 1979-05-27", "x0"),
+        ("x1 = 1.0", 'x1 = "1.0"', "x1"),
+        ("coefficients = [2.0, 1.0, -1.0]", "coefficients = 1", "coefficients"),
+        ("coefficients = [2.0, 1.0, -1.0]", "coefficients = [2.0, true, -1.0]", "coefficients"),
+        ('entries = ["field:csv:fields", "report:json:report.json"]', "entries = 1", "entries"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{key} must be a"):
+            config_from_dict(parse_config_text(BASE.replace(old, new)))
+
+
+@pytest.mark.parametrize("entry", ["report:csv:rep.csv", "report:vtk:rep", "field:json:f", "embedding:json:e"])
+def test_config_rejects_output_formats_not_written(entry):
+    text = BASE.replace('"report:json:report.json"', f'"{entry}"')
+    with pytest.raises(ConfigError, match="bad output entry"):
+        config_from_dict(parse_config_text(text))
+
+
+def test_config_accepts_every_written_output_format():
+    entries = '"field:csv:a", "field:vtk:b", "embedding:csv:c", "embedding:vtk:d", "report:json:e"'
+    text = BASE.replace('"field:csv:fields", "report:json:report.json"', entries)
+    cfg = config_from_dict(parse_config_text(text))
+    assert [(o.kind, o.format) for o in cfg.outputs] == [
+        ("field", "csv"), ("field", "vtk"), ("embedding", "csv"), ("embedding", "vtk"), ("report", "json"),
+    ]
 
 
 def test_boundary_registry():

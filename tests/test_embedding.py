@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from slfold.branch import params_from_levels, solve_branch
 from slfold.embedding import (
+    EmbeddedSample,
     lift_point,
     moment_residual,
     product_residual,
@@ -75,8 +77,6 @@ def test_lift_point_wrong_angle_count():
 
 
 def test_moment_residual_hand_built_samples():
-    from slfold.embedding import EmbeddedSample
-
     p = params_from_levels((3.0, 0.0))
     s = EmbeddedSample(
         z=np.array([2.0, 1.0, 0.5 + 0.5j]), x=0.5, y=0.0, u=0.5, v=2.0,
@@ -137,6 +137,19 @@ def test_torus_action_invariance(n, seed):
     assert np.max(np.abs(moment_residual(params, s0) - moment_residual(params, s1))) <= 1e-12
 
 
+def _rows(cloud, torus_resolution):
+    """The cloud's rows as EmbeddedSample; angles rebuilt from the documented lattice order."""
+    n = cloud.z.shape[1]
+    step = 2.0 * np.pi / torus_resolution
+    lattice = [tuple(step * m for m in idx)
+               for idx in itertools.product(range(torus_resolution), repeat=n - 2)]
+    return [
+        EmbeddedSample(z=z, x=x, y=y, u=u, v=v, w=w, theta_total=theta,
+                       torus_angles=lattice[k % len(lattice)])
+        for k, ((x, y, u, v, w, theta), z) in enumerate(zip(cloud.base.tolist(), cloud.z))
+    ]
+
+
 def _affine_solution_fields(dom, alpha, beta, gamma):
     u = ScalarField2D.from_function(dom, lambda x, y: alpha * x + beta + 0 * y)
     v = ScalarField2D.from_function(dom, lambda x, y: alpha * y + gamma + 0 * x)
@@ -148,12 +161,13 @@ def test_sample_fields_counts():
     params = params_from_levels((1.0, -1.0))
     u, v = _affine_solution_fields(dom, 1.0, 0.0, 0.5)
     out = sample_fields(params, u, v, 4)
-    assert len(out.samples) == 9 * 4
+    assert out.base.shape == (9 * 4, 6) and out.z.shape == (9 * 4, 3)
     assert out.skipped_nodes == []
 
     out1 = sample_fields(params, u, v, 1)
-    assert len(out1.samples) == 9
-    assert all(s.torus_angles == (0.0,) for s in out1.samples)
+    assert len(out1.z) == 9
+    # n = 3: the one torus angle is the phase of z_1, whose radius is positive here
+    assert np.all(np.angle(out1.z[:, 0]) == 0.0)
 
 
 def test_sample_fields_skips_singular_nodes():
@@ -164,7 +178,7 @@ def test_sample_fields_skips_singular_nodes():
     v = constant_field(dom, 0.0)
     out = sample_fields(params, u, v, 2)
     assert out.skipped_nodes == [(0, 1), (1, 1), (2, 1)]
-    assert len(out.samples) == (9 - 3) * 2
+    assert len(out.base) == len(out.z) == (9 - 3) * 2
 
 
 def test_sample_fields_ordering_node_major():
@@ -172,10 +186,10 @@ def test_sample_fields_ordering_node_major():
     params = params_from_levels((1.0, -1.0))
     u, v = _affine_solution_fields(dom, 0.0, 0.0, 1.0)
     out = sample_fields(params, u, v, 2)
-    xs = [s.x for s in out.samples]
+    xs = out.base[:, 0].tolist()
     assert xs == sorted(xs)
-    assert out.samples[0].torus_angles == (0.0,)
-    assert out.samples[1].torus_angles[0] == pytest.approx(math.pi)
+    assert np.angle(out.z[0, 0]) == 0.0
+    assert np.angle(out.z[1, 0]) == pytest.approx(math.pi)
 
 
 def test_sample_surface_from_solution():
@@ -188,8 +202,9 @@ def test_sample_surface_from_solution():
     phi = BoundaryData.from_function(dom, lambda x, y: 0.5 * x * y + x)
     sol = solve_dirichlet(params, dom, phi)
     out = sample_fields(params, sol.u, sol.v, 3)
-    assert len(out.samples) == 25 * 3
-    for s in out.samples[:6]:
+    samples = _rows(out, 3)
+    assert len(samples) == 25 * 3
+    for s in samples[:6]:
         assert np.max(np.abs(moment_residual(params, s))) <= 1e-10
 
 
@@ -198,14 +213,17 @@ def test_sample_fields_equals_lift_point_exactly(n):
     rng = np.random.default_rng(n)
     params = random_params(rng, n=n)
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 3, 3)
-    u = ScalarField2D(dom, rng.uniform(-2, 2, (3, 3)))
+    uvals = rng.uniform(-2, 2, (3, 3))
+    uvals[2, 0] = -0.0  # the sign of a zero u must reach Im z_n
+    u = ScalarField2D(dom, uvals)
     vals = rng.uniform(-2, 2, (3, 3))
     vals[1, 1] = 0.0  # ys[1] = 0: a nonsingular node with v = y = 0
     v = ScalarField2D(dom, vals)
     out = sample_fields(params, u, v, 2)
-    assert out.skipped_nodes == [] and len(out.samples) == 9 * 2 ** (n - 2)
+    samples = _rows(out, 2)
+    assert out.skipped_nodes == [] and len(samples) == 9 * 2 ** (n - 2)
     xs, ys = dom.xs(), dom.ys()
-    for k, s in enumerate(out.samples):
+    for k, s in enumerate(samples):
         i, j = divmod(k // 2 ** (n - 2), 3)
         ref = lift_point(params, float(xs[i]), float(ys[j]), float(u.values[i, j]),
                          float(v.values[i, j]), s.torus_angles)

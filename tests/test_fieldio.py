@@ -1,12 +1,21 @@
-"""Golden bytes of the field and sample CSV writers.
+"""Golden bytes of the field and sample CSV and VTK writers.
 
 The expected text pins the format: header, node-major row order, and 17
 significant digits, so that every value re-reads bit for bit.
 """
 
+import pytest
+
 from slfold.branch import params_from_levels
 from slfold.embedding import sample_fields
-from slfold.fieldio import write_field_csv, write_samples_csv
+from slfold.fieldio import (
+    parse_projection,
+    read_field_csv,
+    write_field_csv,
+    write_field_vtk,
+    write_points_vtk,
+    write_samples_csv,
+)
 from slfold.grid import GridDomain, ScalarField2D
 
 FIELD_CSV = (
@@ -36,6 +45,66 @@ SAMPLES_CSV = (
 )
 
 
+# im:z2, re:z3, im:z1 at torus resolution 2; "-0" pins the sign of a zero
+POINTS_VTK = (
+    "# vtk DataFile Version 3.0\n"
+    "embedded samples\n"
+    "ASCII\n"
+    "DATASET POLYDATA\n"
+    "POINTS 18 double\n"
+    "0 -1 0\n"
+    "-7.8817564177045401e-17 -1 1.902824323894348e-16\n"
+    "0.095329944180546411 -1 0\n"
+    "-0.095329944180546522 -1 1.9269603213466397e-16\n"
+    "0.18774869496845684 -1 0\n"
+    "-0.18774869496845692 -1 1.9568393793945187e-16\n"
+    "0 0 0\n"
+    "-0 0 1.7319121124709868e-16\n"
+    "0.10569764248523397 0 0\n"
+    "-0.10569764248523397 0 1.7379481278195874e-16\n"
+    "0.20928670380404246 0 0\n"
+    "-0.20928670380404246 0 1.7554581015725102e-16\n"
+    "7.8817564177045401e-17 1 0\n"
+    "0 1 1.902824323894348e-16\n"
+    "0.097426282982562493 1 0\n"
+    "-0.097426282982562409 1 1.8854975705578473e-16\n"
+    "0.19585303174504268 1 0\n"
+    "-0.19585303174504262 1 1.8758659821129121e-16\n"
+    "VERTICES 18 36\n"
+    + "".join(f"1 {k}\n" for k in range(18))
+)
+
+FIELD_VTK = (
+    "# vtk DataFile Version 3.0\n"
+    "v\n"
+    "ASCII\n"
+    "DATASET STRUCTURED_GRID\n"
+    "DIMENSIONS 3 3 1\n"
+    "POINTS 9 double\n"
+    "-1 0 0\n"
+    "0 0 0\n"
+    "1 0 0\n"
+    "-1 0.14999999999999999 0\n"
+    "0 0.14999999999999999 0\n"
+    "1 0.14999999999999999 0\n"
+    "-1 0.29999999999999999 0\n"
+    "0 0.29999999999999999 0\n"
+    "1 0.29999999999999999 0\n"
+    "POINT_DATA 9\n"
+    "SCALARS v double 1\n"
+    "LOOKUP_TABLE default\n"
+    "1\n"
+    "0\n"
+    "-1\n"
+    "1.075\n"
+    "0.074999999999999997\n"
+    "-0.92500000000000004\n"
+    "1.1499999999999999\n"
+    "0.14999999999999999\n"
+    "-0.84999999999999998\n"
+)
+
+
 def _fields():
     # ys = linspace(0, 0.3, 3) exercises 17-digit output; node (1, 0) has v = y = 0
     dom = GridDomain(-1.0, 1.0, 0.0, 0.3, 3, 3)
@@ -53,5 +122,41 @@ def test_write_field_csv_golden(tmp_path):
 def test_write_samples_csv_golden(tmp_path):
     u, v = _fields()
     cloud = sample_fields(params_from_levels((1.0, -1.0)), u, v, 1)
-    write_samples_csv(cloud.samples, 3, tmp_path / "points.csv")
+    write_samples_csv(cloud, tmp_path / "points.csv")
     assert (tmp_path / "points.csv").read_text() == SAMPLES_CSV
+
+
+def test_write_points_vtk_golden(tmp_path):
+    u, v = _fields()
+    cloud = sample_fields(params_from_levels((1.0, -1.0)), u, v, 2)
+    write_points_vtk(cloud, parse_projection("im:z2,re:z3,im:z1", 3), tmp_path / "p.vtk")
+    assert (tmp_path / "p.vtk").read_text() == POINTS_VTK
+
+
+def test_write_field_vtk_golden(tmp_path):
+    _, v = _fields()
+    write_field_vtk(v, tmp_path / "v.vtk", name="v")
+    assert (tmp_path / "v.vtk").read_text() == FIELD_VTK
+
+
+def test_read_field_csv_rejects_y_major_rows(tmp_path):
+    # a complete 3 x 4 grid with x running fastest: right row count, wrong order
+    xs, ys = (0.0, 0.5, 1.0), (0.0, 1 / 3, 2 / 3, 1.0)
+    rows = [f"{x!r},{y!r},{10 * x + 3 * y!r}" for y in ys for x in xs]
+    (tmp_path / "f.csv").write_text("x,y,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="node-major"):
+        read_field_csv(tmp_path / "f.csv")
+
+
+def test_read_field_csv_rejects_uneven_nodes(tmp_path):
+    rows = [f"{x!r},{y!r},{x + y!r}" for x in (0.0, 0.1, 1.0) for y in (0.0, 0.5, 1.0)]
+    (tmp_path / "f.csv").write_text("x,y,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="x nodes are not uniform"):
+        read_field_csv(tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize("text", ["x,y,value\n0,0,1\n0,1\n", "x,y,value\n"])
+def test_read_field_csv_rejects_short_or_missing_rows(tmp_path, text):
+    (tmp_path / "f.csv").write_text(text)
+    with pytest.raises(ValueError):
+        read_field_csv(tmp_path / "f.csv")

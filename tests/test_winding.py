@@ -11,7 +11,7 @@ from slfold.errors import (
     ZeroOnLoopError,
 )
 from slfold.families import AffineSolution, affine_fields
-from slfold.grid import GridDomain
+from slfold.grid import GridDomain, ScalarField2D
 from slfold.winding import (
     LoopTrace,
     _round_turns,
@@ -161,3 +161,20 @@ def test_difference_trace_matches_fields():
     trace = difference_trace(u1, v1, u2, v2, (0.2, -0.1), 0.4, 16)
     # difference is (x, y) itself: bilinear interpolation is exact on affine data
     assert np.allclose(trace.values, trace.points, atol=1e-12)
+
+
+def test_interp_is_elementwise_and_exact_on_bilinear_data(rng):
+    dom = GridDomain(-1.3, 0.7, -0.2, 2.0, 7, 9)
+
+    def bilinear(x, y):
+        return 0.5 + 2.0 * x - y + 0.25 * x * y
+
+    f = ScalarField2D.from_function(dom, bilinear)
+    x = np.concatenate([rng.uniform(-1.3, 0.7, 49), [-1.3, 0.7, 0.7]]).reshape(4, 13)
+    y = np.concatenate([rng.uniform(-0.2, 2.0, 49), [2.0, -0.2, 2.0]]).reshape(4, 13)
+    got = f.interp(x, y)
+    assert got.shape == (4, 13)
+    assert np.allclose(got, bilinear(x, y), rtol=0, atol=1e-13)
+    # one call on the arrays equals one call per point, bit for bit
+    pointwise = [f.interp(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    assert got.ravel().tobytes() == np.array(pointwise).tobytes()
