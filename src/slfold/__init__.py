@@ -23,6 +23,7 @@ from .calibration import (
     DecompositionFit,
     ImplicitDerivs,
     TangentFrame,
+    VerifyReport,
     cross_product_closed_form,
     cross_product_det,
     decomposition_check,
@@ -31,6 +32,7 @@ from .calibration import (
     omega_form,
     omega_residual,
     tangent_frame,
+    verify_fields,
 )
 from .embedding import (
     EmbeddedSample,

@@ -16,12 +16,13 @@ least-squares decomposition of Wy over {Wphi_i, Wx, cross vector}.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
+from .branch import DEGENERACY_FLOOR, ReductionParams, branch_w_array, eval_p_prime, solve_branch
 from .embedding import EmbeddedSample, unit_power_i
 from .errors import (
     DegenerateBranchError,
@@ -29,9 +30,18 @@ from .errors import (
     SingularPointError,
     ZeroRadiusError,
 )
+from .grid import ScalarField2D
+from .pde import residual_first_order
 
 # Radii at or below this are treated as vanishing; frame formulas divide by them.
 ZERO_RADIUS_FLOOR = 1e-14
+
+# verify_fields stacks at most this many frames at a time: stacking all 2,209
+# frames of a 49^2 grid at once raised the process's peak memory from 46 to 52 MB.
+FRAME_BLOCK = 256
+
+# Why a selected node's frame is not checked, in the order the checks apply.
+SKIP_REASONS = (SingularPointError, ZeroRadiusError, DegenerateBranchError, RankDeficientError)
 
 
 @dataclass(frozen=True)
@@ -103,13 +113,18 @@ def _implicit_derivs(
         raise SingularPointError("implicit derivatives undefined at v = y = 0")
     if p_prime < DEGENERACY_FLOOR:
         raise DegenerateBranchError(f"P'(w) = {p_prime:.3e} below floor {DEGENERACY_FLOOR:.0e}")
+    return ImplicitDerivs(*_derivs(params.n, v, y, v_x, v_y, p_prime))
+
+
+def _derivs(n: int, v, y, v_x, v_y, p_prime):
+    """(theta_x, theta_y, w_x, w_y) unchecked; elementwise on floats and arrays alike."""
     s = v * v + y * y
-    m = params.n - 1
-    return ImplicitDerivs(
-        theta_x=-y * v_x / (m * s),
-        theta_y=(v - y * v_y) / (m * s),
-        w_x=2.0 * v * v_x / p_prime,
-        w_y=2.0 * (v * v_y + y) / p_prime,
+    m = n - 1
+    return (
+        -y * v_x / (m * s),
+        (v - y * v_y) / (m * s),
+        2.0 * v * v_x / p_prime,
+        2.0 * (v * v_y + y) / p_prime,
     )
 
 
@@ -138,28 +153,35 @@ def tangent_frame(
     every calibration quantity evaluated here is invariant under that move.
     """
     n = params.n
-    _, radii = _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
+    _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
     der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, eval_p_prime(params, sample.w))
+    data = (sample.theta_total, sample.w, sample.v, sample.y, u_x, u_y, v_x, v_y)
+    cols = _assemble(params, *(np.array([t], dtype=float) for t in data))[0].T.copy()
+    return TangentFrame(w_phi=tuple(cols[: n - 2]), wx=cols[n - 2], wy=cols[n - 1],
+                        derivs=der, point=sample)
 
-    theta = sample.theta_total / (n - 1)
-    phase = cmath.exp(1j * theta)
+
+def _assemble(params: ReductionParams, theta, w, v, y, u_x, u_y, v_x, v_y) -> np.ndarray:
+    """Frame matrices (N, n, n) with columns [Wphi_1, ..., Wphi_{n-2}, Wx, Wy].
+
+    Every argument is a length-N array: the angle sum Theta, the branch root
+    w, the base values v and y, and the four partials.  The caller has
+    excluded vanishing radii, v = y = 0 and P'(w) below the floor.
+    """
+    n = params.n
+    radii = np.sqrt(w[:, None] + np.array(params.a))
+    th_x, th_y, w_x, w_y = (d[:, None] for d in _derivs(n, v, y, v_x, v_y, eval_p_prime(params, w)))
+    phase = np.exp(1j * (theta / (n - 1)))[:, None]
     zg = radii * phase  # gauge representative of (z_1, ..., z_{n-1})
-
-    w_phi = []
-    for i in range(n - 2):
-        vec = np.zeros(n, dtype=complex)
-        vec[i] = 1j * zg[i]
-        vec[n - 2] = -1j * zg[n - 2]
-        w_phi.append(vec)
-
-    wx = np.empty(n, dtype=complex)
-    wx[: n - 1] = (der.w_x / (2.0 * radii) + 1j * der.theta_x * radii) * phase
-    wx[n - 1] = 1.0 + 1j * u_x
-    wy = np.empty(n, dtype=complex)
-    wy[: n - 1] = (der.w_y / (2.0 * radii) + 1j * der.theta_y * radii) * phase
-    wy[n - 1] = 1j * u_y
-
-    return TangentFrame(w_phi=tuple(w_phi), wx=wx, wy=wy, derivs=der, point=sample)
+    m = np.zeros((len(w), n, n), dtype=complex)
+    k = np.arange(n - 2)
+    m[:, k, k] = 1j * zg[:, : n - 2]
+    m[:, n - 2, : n - 2] = -1j * zg[:, n - 2 :]
+    m[:, : n - 1, n - 2] = (w_x / (2.0 * radii) + 1j * th_x * radii) * phase
+    m[:, n - 1, n - 2] = 1.0 + 1j * u_x
+    m[:, : n - 1, n - 1] = (w_y / (2.0 * radii) + 1j * th_y * radii) * phase
+    m[:, n - 1, n - 1] = 1j * u_y
+    return m
 
 
 def omega_form(a: np.ndarray, b: np.ndarray) -> float:
@@ -169,26 +191,35 @@ def omega_form(a: np.ndarray, b: np.ndarray) -> float:
 
 def omega_residual(frame: TangentFrame) -> float:
     """max over frame pairs of |omega(A, B)| / (|A| |B|)."""
-    vecs = frame.vectors()
-    norms = [np.linalg.norm(v) for v in vecs]
-    worst = 0.0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            denom = norms[i] * norms[j]
-            if denom == 0.0:
-                continue
-            worst = max(worst, abs(omega_form(vecs[i], vecs[j])) / denom)
-    return worst
+    m = np.column_stack(frame.vectors())[None]
+    return float(_omega(m, np.linalg.norm(m, axis=1))[0])
+
+
+def _omega(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Per frame, max over column pairs i < j of |omega(m_i, m_j)| / (|m_i| |m_j|).
+
+    A pair with a zero norm is left out; a frame with no pair left reads 0.
+    """
+    i, j = np.triu_indices(m.shape[-1], 1)
+    a, b = m[:, :, i], m[:, :, j]
+    # Im vdot(m_i, m_j) summed in row order, as np.vdot sums these short vectors
+    form = (a.real * b.imag).sum(axis=1) - (a.imag * b.real).sum(axis=1)
+    denom = norms[:, i] * norms[:, j]
+    ratio = np.abs(form) / np.where(denom == 0.0, 1.0, denom)
+    return np.where(denom == 0.0, 0.0, ratio).max(axis=1)
 
 
 def im_omega_residual(frame: TangentFrame) -> float:
     """|Im det(frame matrix)| normalised by the product of vector norms."""
-    vecs = frame.vectors()
-    m = np.column_stack(vecs)
-    scale = float(np.prod([np.linalg.norm(v) for v in vecs]))
-    if scale == 0.0:
-        return 0.0
-    return abs(np.linalg.det(m).imag) / scale
+    m = np.column_stack(frame.vectors())[None]
+    return float(_im_det(m, np.linalg.norm(m, axis=1))[0])
+
+
+def _im_det(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Per frame, |Im det m| over the product of the column norms; 0 when that is 0."""
+    scale = norms.prod(axis=1)
+    zero = scale == 0.0
+    return np.where(zero, 0.0, np.abs(np.linalg.det(m).imag) / np.where(zero, 1.0, scale))
 
 
 def cross_product_det(vectors: Sequence[np.ndarray]) -> CrossProductVector:
@@ -259,24 +290,188 @@ def decomposition_check(params: ReductionParams, frame: TangentFrame) -> Decompo
     The fit runs over R^{2n}, so non-solutions produce a meaningful residual.
     """
     n = params.n
-    cross = cross_product_det((*frame.w_phi, frame.wx))
-    orient = -1.0 if n % 2 else 1.0  # (-1)^{n-2}
-    wbar = orient * cross.as_tangent_vector()
+    coef, residual, rank = _fit(np.column_stack(frame.vectors())[None])
+    if rank[0] < n:
+        raise RankDeficientError(f"decomposition basis has rank {rank[0]} < {n}")
+    c = coef[0]
+    return DecompositionFit(gamma=float(c[-1]), residual=float(residual[0]),
+                            beta=float(c[-2]), alphas=c[: n - 2].copy())
 
-    cols = [*frame.w_phi, frame.wx, wbar]
-    a = np.column_stack(cols)
-    a_real = np.vstack([a.real, a.imag])
-    b_real = np.concatenate([frame.wy.real, frame.wy.imag])
 
-    coef, _, rank, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    if rank < n:
-        raise RankDeficientError(f"decomposition basis has rank {rank} < {n}")
-    misfit = a_real @ coef - b_real
-    scale = float(np.linalg.norm(b_real))
-    residual = float(np.linalg.norm(misfit)) / (scale if scale > 0.0 else 1.0)
-    return DecompositionFit(
-        gamma=float(coef[-1]),
-        residual=residual,
-        beta=float(coef[-2]),
-        alphas=coef[: n - 2].copy(),
+def _cross(m: np.ndarray) -> np.ndarray:
+    """Cofactor components det[m_1 | ... | m_{n-1} | e_j] per frame, shape (N, n)."""
+    count, n, _ = m.shape
+    stack = np.empty((count, n, n, n), dtype=complex)
+    stack[..., : n - 1] = m[:, None, :, : n - 1]
+    stack[..., n - 1] = np.eye(n)  # matrix j ends in e_j
+    comps = np.linalg.det(stack)
+    if not np.all(np.isfinite(comps)):
+        raise ValueError("cross-product components must be finite")
+    return comps
+
+
+def _fit(m: np.ndarray):
+    """Stacked real least-squares fit of the last column over the others and Wcross.
+
+    Returns (coef (N, n), relative residual (N,), rank (N,)).  Rank and the
+    minimum-norm solution follow np.linalg.lstsq with rcond=None: singular
+    values at or below eps * 2n * s_max count as zero.
+    """
+    n = m.shape[-1]
+    basis = m.copy()
+    basis[:, :, n - 1] = (-1.0 if n % 2 else 1.0) * np.conj(_cross(m))  # orientation (-1)^{n-2}
+    a = np.concatenate([basis.real, basis.imag], axis=1)  # (N, 2n, n)
+    b = np.concatenate([m[:, :, n - 1].real, m[:, :, n - 1].imag], axis=1)[:, :, None]
+    left, sv, right_t = np.linalg.svd(a, full_matrices=False)
+    keep = sv > np.finfo(float).eps * 2 * n * sv[:, :1]
+    inverse = np.where(keep, 1.0 / np.where(keep, sv, 1.0), 0.0)[:, :, None]
+    coef = right_t.transpose(0, 2, 1) @ (inverse * (left.transpose(0, 2, 1) @ b))
+    misfit = (a @ coef - b)[:, :, 0]
+    scale = np.linalg.norm(b[:, :, 0], axis=1)
+    residual = np.linalg.norm(misfit, axis=1) / np.where(scale > 0.0, scale, 1.0)
+    return coef[:, :, 0], residual, keep.sum(axis=1)
+
+
+# Columns of VerifyReport.points, one row per checked frame.
+POINT_COLUMNS = ("x", "y", "omega", "im_omega", "gamma", "fit_residual")
+
+
+@dataclass(frozen=True, eq=False)
+class VerifyReport:
+    """Calibration check of a pair of fields over the selected interior frames.
+
+    points has one row per checked frame, in selection order (i outer, j
+    inner), with the columns POINT_COLUMNS; gamma_deviation holds
+    |gamma P'(w) - (-1)^{2-n}| for the same frames.  skipped_by_reason counts
+    the selected nodes left unchecked, by the name of each SKIP_REASONS type.
+    """
+
+    max_first_order_residual: float
+    points: np.ndarray  # shape (frames, 6)
+    gamma_deviation: np.ndarray  # shape (frames,)
+    skipped_by_reason: dict[str, int]
+
+    @property
+    def frames(self) -> int:
+        return len(self.points)
+
+    @property
+    def skipped_frames(self) -> int:
+        return sum(self.skipped_by_reason.values())
+
+    def _max(self, column: str) -> float:
+        return float(self.points[:, POINT_COLUMNS.index(column)].max(initial=0.0))
+
+    def _argmax(self, column: str) -> tuple[float, float] | None:
+        """(x, y) of the first frame attaining the maximum, when that is above 0."""
+        values = self.points[:, POINT_COLUMNS.index(column)]
+        if not values.max(initial=0.0) > 0.0:
+            return None
+        k = int(np.argmax(values))
+        return float(self.points[k, 0]), float(self.points[k, 1])
+
+    @property
+    def max_omega_residual(self) -> float:
+        return self._max("omega")
+
+    @property
+    def argmax_omega(self) -> tuple[float, float] | None:
+        return self._argmax("omega")
+
+    @property
+    def max_im_omega_residual(self) -> float:
+        return self._max("im_omega")
+
+    @property
+    def argmax_im_omega(self) -> tuple[float, float] | None:
+        return self._argmax("im_omega")
+
+    @property
+    def max_gamma_deviation(self) -> float:
+        return float(self.gamma_deviation.max(initial=0.0))
+
+    @property
+    def max_fit_residual(self) -> float:
+        return self._max("fit_residual")
+
+    def passes(self, first_order: float, omega: float, im_omega: float, gamma: float) -> bool:
+        """At least one frame was checked and every maximum is within its budget.
+
+        The fit residual shares the gamma budget.
+        """
+        return (
+            self.frames >= 1
+            and self.max_first_order_residual <= first_order
+            and self.max_omega_residual <= omega
+            and self.max_im_omega_residual <= im_omega
+            and self.max_gamma_deviation <= gamma
+            and self.max_fit_residual <= gamma
+        )
+
+
+def verify_fields(
+    params: ReductionParams, u: ScalarField2D, v: ScalarField2D, max_frames: int
+) -> VerifyReport:
+    """Check the calibration identities on interior frames of the fields (u, v).
+
+    The interior nodes are taken with one stride in both directions, the
+    smallest that selects at most about max_frames of them, i outer and j
+    inner.  Partials come from np.gradient.  Each selected node is skipped
+    for the first SKIP_REASONS check it fails, in the order of the one-frame
+    path (lift_point, tangent_frame, decomposition_check); the others are
+    checked FRAME_BLOCK frames at a time.
+    """
+    if max_frames < 1:
+        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
+    n = params.n
+    r1, r2 = residual_first_order(params, u, v)
+    first_order = float(max(np.abs(r1.values).max(), np.abs(r2.values).max()))
+
+    dom = u.domain
+    stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames))))
+    ii, jj = (g.ravel() for g in np.meshgrid(
+        np.arange(1, dom.nx - 1, stride), np.arange(1, dom.ny - 1, stride), indexing="ij"))
+    partials = [g[ii, jj] for f in (u, v) for g in np.gradient(f.values, dom.hx, dom.hy)]
+    x, y, vv = dom.xs()[ii], dom.ys()[jj], v.values[ii, jj]
+    base = np.empty(len(vv), dtype=complex)
+    base.real, base.imag = vv, y  # as complex(v, y); vv + 1j*y can flip the sign of a zero
+    rotated = unit_power_i(3 - n) * base
+    # math.atan2 is the cmath.phase of total_phase; np.angle differs from it in the
+    # last bit on some nodes, which moves noise-level residuals and their argmax
+    theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
+    w = branch_w_array(params, vv * vv + y * y)
+    p_prime = eval_p_prime(params, w)
+
+    collapsed = (vv == 0.0) & (y == 0.0)
+    # an index into SKIP_REASONS, or -1 for a frame to check
+    reason = np.select(
+        [
+            collapsed & (params.min_multiplicity > 1),  # lift_point: no orbit to lift
+            np.any(w[:, None] + np.array(params.a) <= ZERO_RADIUS_FLOOR, axis=1),
+            collapsed,
+            p_prime < DEGENERACY_FLOOR,
+        ],
+        [0, 1, 0, 2],
+        default=-1,
+    )
+    checked = np.flatnonzero(reason < 0)
+    rows, deviations = [], []
+    for start in range(0, len(checked), FRAME_BLOCK):
+        k = checked[start : start + FRAME_BLOCK]
+        m = _assemble(params, theta[k], w[k], vv[k], y[k], *(p[k] for p in partials))
+        coef, fit_residual, rank = _fit(m)
+        full = rank >= n
+        reason[k[~full]] = 3
+        k, m, gamma = k[full], m[full], coef[full, -1]
+        norms = np.linalg.norm(m, axis=1)
+        rows.append(np.column_stack(
+            [x[k], y[k], _omega(m, norms), _im_det(m, norms), gamma, fit_residual[full]]))
+        deviations.append(np.abs(gamma * p_prime[k] - (1.0 if n % 2 == 0 else -1.0)))
+
+    counts = np.bincount(reason[reason >= 0], minlength=len(SKIP_REASONS))
+    return VerifyReport(
+        max_first_order_residual=first_order,
+        points=np.concatenate(rows) if rows else np.empty((0, len(POINT_COLUMNS))),
+        gamma_deviation=np.concatenate(deviations) if deviations else np.empty(0),
+        skipped_by_reason={cls.__name__: int(c) for cls, c in zip(SKIP_REASONS, counts)},
     )

@@ -13,15 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .branch import eval_p_prime
-from .calibration import (
-    decomposition_check,
-    im_omega_residual,
-    omega_residual,
-    tangent_frame,
-)
+from .calibration import POINT_COLUMNS, verify_fields
 from .config import load_config
-from .embedding import lift_point, sample_fields
+from .embedding import sample_fields
 from .errors import (
     ConfigError,
     DegeneracyEncounteredError,
@@ -44,7 +38,7 @@ from .fieldio import (
     write_samples_csv,
 )
 from .grid import GridDomain
-from .pde import residual_first_order, solve_dirichlet
+from .pde import solve_dirichlet
 from .winding import angle_increments, difference_trace, winding_number
 
 
@@ -105,6 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
+    if cfg.boundary is None:
+        raise ConfigError("solve needs a [boundary] section")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phi = cfg.boundary.resolve(cfg.domain)
@@ -151,85 +147,40 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_frames < 1:
+        raise ConfigError(f"--max-frames must be >= 1, got {args.max_frames}")
     cfg = load_config(args.config)
-    params = cfg.params
-    u = read_field_csv(args.u)
-    v = read_field_csv(args.v)
-    r1, r2 = residual_first_order(params, u, v)
-    max_first_order = float(max(np.abs(r1.values).max(), np.abs(r2.values).max()))
-
-    dom = u.domain
-    xs, ys = dom.xs(), dom.ys()
-    u_x, u_y = np.gradient(u.values, dom.hx, dom.hy)
-    v_x, v_y = np.gradient(v.values, dom.hx, dom.hy)
-    stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / args.max_frames))))
-    sign_target = 1.0 if params.n % 2 == 0 else -1.0  # (-1)^{2-n}
-    max_omega = max_im_omega = max_gamma = max_fit = 0.0
-    argmax_omega = argmax_im = None
-    frames = skipped = 0
-    per_point = []
-    for i in range(1, dom.nx - 1, stride):
-        for j in range(1, dom.ny - 1, stride):
-            vv, yy = float(v.values[i, j]), float(ys[j])
-            try:
-                sample = lift_point(params, float(xs[i]), yy, float(u.values[i, j]), vv)
-                frame = tangent_frame(params, sample, u_x[i, j], u_y[i, j], v_x[i, j], v_y[i, j])
-                fit = decomposition_check(params, frame)
-            except SlfoldError:
-                skipped += 1
-                continue
-            frames += 1
-            om = omega_residual(frame)
-            im = im_omega_residual(frame)
-            if om > max_omega:
-                max_omega, argmax_omega = om, (float(xs[i]), yy)
-            if im > max_im_omega:
-                max_im_omega, argmax_im = im, (float(xs[i]), yy)
-            gdev = abs(fit.gamma * eval_p_prime(params, sample.w) - sign_target)
-            max_gamma = max(max_gamma, gdev)
-            max_fit = max(max_fit, fit.residual)
-            per_point.append(
-                {
-                    "x": float(xs[i]),
-                    "y": yy,
-                    "omega": om,
-                    "im_omega": im,
-                    "gamma": fit.gamma,
-                    "fit_residual": fit.residual,
-                }
-            )
-
-    passed = (
-        max_first_order <= args.budget_first_order
-        and max_omega <= args.budget_omega
-        and max_im_omega <= args.budget_im_omega
-        and max_gamma <= args.budget_gamma
-        and max_fit <= args.budget_gamma
-    )
-    report = {
-        "passed": bool(passed),
-        "frames": frames,
-        "skipped_frames": skipped,
-        "max_first_order_residual": max_first_order,
-        "max_omega_residual": max_omega,
-        "argmax_omega": argmax_omega,
-        "max_im_omega_residual": max_im_omega,
-        "argmax_im_omega": argmax_im,
-        "max_gamma_deviation": max_gamma,
-        "max_fit_residual": max_fit,
-        "points": per_point,
-        "budgets": {
-            "first_order": args.budget_first_order,
-            "omega": args.budget_omega,
-            "im_omega": args.budget_im_omega,
-            "gamma": args.budget_gamma,
-        },
+    report = verify_fields(cfg.params, read_field_csv(args.u), read_field_csv(args.v), args.max_frames)
+    budgets = {
+        "first_order": args.budget_first_order,
+        "omega": args.budget_omega,
+        "im_omega": args.budget_im_omega,
+        "gamma": args.budget_gamma,
     }
+    passed = report.passes(**budgets)
     if args.report:
-        write_json(report, args.report)
+        write_json(
+            {
+                "passed": passed,
+                "frames": report.frames,
+                "skipped_frames": report.skipped_frames,
+                "skipped_by_reason": report.skipped_by_reason,
+                "max_first_order_residual": report.max_first_order_residual,
+                "max_omega_residual": report.max_omega_residual,
+                "argmax_omega": report.argmax_omega,
+                "max_im_omega_residual": report.max_im_omega_residual,
+                "argmax_im_omega": report.argmax_im_omega,
+                "max_gamma_deviation": report.max_gamma_deviation,
+                "max_fit_residual": report.max_fit_residual,
+                "points": [dict(zip(POINT_COLUMNS, row)) for row in report.points.tolist()],
+                "budgets": budgets,
+            },
+            args.report,
+        )
     print(
-        f"verify: first_order={max_first_order:.3e} omega={max_omega:.3e} "
-        f"im_omega={max_im_omega:.3e} gamma={max_gamma:.3e} fit={max_fit:.3e} "
+        f"verify: first_order={report.max_first_order_residual:.3e} "
+        f"omega={report.max_omega_residual:.3e} im_omega={report.max_im_omega_residual:.3e} "
+        f"gamma={report.max_gamma_deviation:.3e} fit={report.max_fit_residual:.3e} "
         f"-> {'PASS' if passed else 'FAIL'}"
     )
     return 0 if passed else 4

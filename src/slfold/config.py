@@ -1,9 +1,10 @@
 """Run configuration: a TOML file read with the standard library's tomllib.
 
 Sections are ``[params]`` and ``[domain]`` (required), and ``[boundary]``,
-``[solver]``, ``[outputs]`` and ``[embedding]`` (optional).  Boundary data
-comes from a registry (affine, bilinear, inline values, or a CSV of
-traversal values) so no expression parser is needed.
+``[solver]``, ``[outputs]`` and ``[embedding]`` (optional; only ``solve``
+needs ``[boundary]``).  Boundary data comes from a registry (affine,
+bilinear, inline values, or a CSV of traversal values) so no expression
+parser is needed.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class OutputSpec:
 class RunConfig:
     params: ReductionParams
     domain: GridDomain
-    boundary: BoundarySpec
+    boundary: BoundarySpec | None  # None without a [boundary] section
     solver: SolverConfig
     outputs: tuple[OutputSpec, ...]
     torus_resolution: int
@@ -129,6 +130,23 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(str(exc))
 
 
+def _boundary(bsec: dict) -> BoundarySpec:
+    """The [boundary] section, validated for its kind."""
+    boundary = BoundarySpec(
+        kind=str(bsec.get("kind", "bilinear")),
+        coefficients=_numbers("coefficients", bsec.get("coefficients", [])),
+        values=_numbers("values", bsec.get("values", [])),
+        path=str(bsec.get("path", "")),
+    )
+    if boundary.kind == "affine" and len(boundary.coefficients) != 3:
+        raise ConfigError("boundary kind 'affine' needs 3 coefficients")
+    if boundary.kind == "bilinear" and len(boundary.coefficients) != 4:
+        raise ConfigError("boundary kind 'bilinear' needs 4 coefficients")
+    if boundary.kind not in ("affine", "bilinear", "inline", "csv"):
+        raise ConfigError(f"unknown boundary kind {boundary.kind!r}")
+    return boundary
+
+
 def _run_config(data: dict) -> RunConfig:
     psec = _section(data, "params")
     a = _numbers("a", _require(psec, "a", "params"))
@@ -144,19 +162,7 @@ def _run_config(data: dict) -> RunConfig:
         _integer("ny", _require(dsec, "ny", "domain")),
     )
 
-    bsec = _section(data, "boundary")
-    boundary = BoundarySpec(
-        kind=str(bsec.get("kind", "bilinear")),
-        coefficients=_numbers("coefficients", bsec.get("coefficients", [])),
-        values=_numbers("values", bsec.get("values", [])),
-        path=str(bsec.get("path", "")),
-    )
-    if boundary.kind == "affine" and len(boundary.coefficients) != 3:
-        raise ConfigError("boundary kind 'affine' needs 3 coefficients")
-    if boundary.kind == "bilinear" and len(boundary.coefficients) != 4:
-        raise ConfigError("boundary kind 'bilinear' needs 4 coefficients")
-    if boundary.kind not in ("affine", "bilinear", "inline", "csv"):
-        raise ConfigError(f"unknown boundary kind {boundary.kind!r}")
+    boundary = _boundary(_section(data, "boundary")) if "boundary" in data else None
 
     ssec = _section(data, "solver")
     solver = SolverConfig(

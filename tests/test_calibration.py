@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from slfold.branch import eval_p_prime, params_from_levels, solve_branch
 from slfold.calibration import (
+    POINT_COLUMNS,
     TangentFrame,
     cross_product_closed_form,
     cross_product_det,
@@ -16,15 +19,18 @@ from slfold.calibration import (
     omega_form,
     omega_residual,
     tangent_frame,
+    verify_fields,
 )
 from slfold.embedding import lift_point, total_phase
 from slfold.errors import (
     DegenerateBranchError,
     RankDeficientError,
     SingularPointError,
+    SlfoldError,
     ZeroRadiusError,
 )
 from slfold.families import HLConfig, hl_partials, hl_triple
+from slfold.grid import GridDomain, ScalarField2D
 
 from conftest import random_params
 
@@ -487,3 +493,139 @@ def test_frame_derivs_equal_implicit_derivatives(rng):
         x, y, u, v, u_x, u_y, v_x, v_y = (float(t) for t in rng.uniform(-2, 2, 8))
         frame = tangent_frame(params, lift_point(params, x, y, u, v), u_x, u_y, v_x, v_y)
         assert frame.derivs == implicit_derivatives(params, v, y, v_x, v_y)
+
+
+# --- verify parity against a one-frame-at-a-time reference ----------------------------
+
+def _reference_frame(params, sample, u_x, u_y, v_x, v_y):
+    """Frame columns [Wphi_1 .. Wphi_{n-2}, Wx, Wy] built one vector at a time."""
+    n = params.n
+    radicand = np.array([sample.w + aj for aj in params.a])
+    if np.any(radicand <= 1e-14):
+        raise ZeroRadiusError("zero radius")
+    radii = np.sqrt(radicand)
+    v, y = sample.v, sample.y
+    if v == 0.0 and y == 0.0:
+        raise SingularPointError("v = y = 0")
+    pp = eval_p_prime(params, sample.w)
+    if pp < 1e-8:
+        raise DegenerateBranchError("P' below floor")
+    s, m = v * v + y * y, n - 1
+    th_x, th_y = -y * v_x / (m * s), (v - y * v_y) / (m * s)
+    w_x, w_y = 2.0 * v * v_x / pp, 2.0 * (v * v_y + y) / pp
+    phase = np.exp(1j * sample.theta_total / m)
+    zg = radii * phase
+    vecs = []
+    for i in range(n - 2):
+        vec = np.zeros(n, dtype=complex)
+        vec[i] = 1j * zg[i]
+        vec[n - 2] = -1j * zg[n - 2]
+        vecs.append(vec)
+    wx = np.append((w_x / (2.0 * radii) + 1j * th_x * radii) * phase, 1.0 + 1j * u_x)
+    wy = np.append((w_y / (2.0 * radii) + 1j * th_y * radii) * phase, 1j * u_y)
+    return [*vecs, wx, wy]
+
+
+def _reference_fit(n, vecs):
+    """(gamma, relative residual) of the real least-squares fit of Wy."""
+    cross = cross_product_det(vecs[: n - 1])
+    wbar = (-1.0 if n % 2 else 1.0) * cross.as_tangent_vector()
+    a = np.column_stack([*vecs[: n - 1], wbar])
+    a_real = np.vstack([a.real, a.imag])
+    b_real = np.concatenate([vecs[-1].real, vecs[-1].imag])
+    coef, _, rank, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
+    if rank < n:
+        raise RankDeficientError("rank")
+    scale = float(np.linalg.norm(b_real))
+    return float(coef[-1]), float(np.linalg.norm(a_real @ coef - b_real)) / (scale or 1.0)
+
+
+def _reference_verify(params, u, v, max_frames):
+    """frames, skip counts by error type, and per-point rows, one frame at a time."""
+    dom, n = u.domain, params.n
+    xs, ys = dom.xs(), dom.ys()
+    u_x, u_y = np.gradient(u.values, dom.hx, dom.hy)
+    v_x, v_y = np.gradient(v.values, dom.hx, dom.hy)
+    stride = max(1, math.ceil(math.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames)))
+    skipped, points = Counter(), []
+    for i in range(1, dom.nx - 1, stride):
+        for j in range(1, dom.ny - 1, stride):
+            x, y = float(xs[i]), float(ys[j])
+            partials = (u_x[i, j], u_y[i, j], v_x[i, j], v_y[i, j])
+            try:
+                sample = lift_point(params, x, y, float(u.values[i, j]), float(v.values[i, j]))
+                vecs = _reference_frame(params, sample, *partials)
+                gamma, fit = _reference_fit(n, vecs)
+            except SlfoldError as exc:
+                skipped[type(exc).__name__] += 1
+                continue
+            norms = [np.linalg.norm(c) for c in vecs]
+            om = max(
+                (abs(np.vdot(vecs[p], vecs[q]).imag) / (norms[p] * norms[q])
+                 for p, q in combinations(range(n), 2) if norms[p] * norms[q] != 0.0),
+                default=0.0,
+            )
+            scale = float(np.prod(norms))
+            im = abs(np.linalg.det(np.column_stack(vecs)).imag) / scale if scale else 0.0
+            points.append({"x": x, "y": y, "omega": om, "im_omega": im,
+                           "gamma": gamma, "fit_residual": fit})
+    return len(points), skipped, points
+
+
+def _first_strict_max(points, key):
+    best, where = 0.0, None
+    for p in points:
+        if p[key] > best:
+            best, where = p[key], (p["x"], p["y"])
+    return where
+
+
+def _verify_report(params, u, v, max_frames):
+    """The verify report of (u, v) as a JSON-shaped dict."""
+    report = verify_fields(params, u, v, max_frames)
+    return {
+        "frames": report.frames,
+        "skipped_frames": report.skipped_frames,
+        "skipped_by_reason": report.skipped_by_reason,
+        "argmax_omega": report.argmax_omega,
+        "argmax_im_omega": report.argmax_im_omega,
+        "points": [dict(zip(POINT_COLUMNS, row)) for row in report.points.tolist()],
+    }
+
+
+PARITY_LEVELS = {
+    3: (1.0, -1.0),
+    4: (1.0, 0.25, -1.0),
+    5: (2.0, 0.5, -0.25, -1.0),
+    6: (3.0, 1.5, 0.5, -0.5, -1.0),
+    "singular": (0.5, -1.0, -1.0),  # min(a_j) twice: the orbit over v = y = 0 collapses
+}
+
+
+@pytest.mark.parametrize("max_frames", [1000, 20])  # strides 1 and 2 on the 7 x 9 interior
+@pytest.mark.parametrize("case", list(PARITY_LEVELS))
+def test_verify_matches_frame_by_frame_reference(case, max_frames):
+    params = params_from_levels(PARITY_LEVELS[case])
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 9, 11)
+    xs, ys = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+    bump = 1e-3 * np.sin(1.3 * xs + 0.4) * np.cos(0.7 * ys + 0.2)
+    uu, vv = 0.9 * xs + 0.2 + bump, 0.9 * ys + 0.45 - bump
+    assert ys[3, 5] == 0.0
+    vv[3, 5] = 0.0  # s = 0: zero radius, or a collapsed orbit in the singular case
+    u, v = ScalarField2D(dom, uu), ScalarField2D(dom, vv)
+
+    frames, skipped, points = _reference_verify(params, u, v, max_frames)
+    report = _verify_report(params, u, v, max_frames)
+    reason = "SingularPointError" if case == "singular" else "ZeroRadiusError"
+    assert skipped == {reason: 1}
+    assert {k: c for k, c in report["skipped_by_reason"].items() if c} == skipped
+    assert (report["frames"], report["skipped_frames"]) == (frames, sum(skipped.values()))
+    for key in ("omega", "im_omega"):
+        expected = _first_strict_max(points, key)
+        got = report[f"argmax_{key}"]
+        assert (got if got is None else tuple(got)) == expected
+    assert [(p["x"], p["y"]) for p in report["points"]] == [(p["x"], p["y"]) for p in points]
+    for got, ref in zip(report["points"], points):
+        for key in ("omega", "im_omega", "fit_residual"):
+            assert abs(got[key] - ref[key]) <= 1e-13
+        assert abs(got["gamma"] - ref["gamma"]) <= 1e-12 * max(1.0, abs(ref["gamma"]))

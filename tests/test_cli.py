@@ -202,6 +202,62 @@ def test_verify_domain_mismatch_exit1(tmp_path, cfg_path):
     assert main(["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp)]) == 1
 
 
+def _verify_grid(tmp_path, levels, nx, ny, u_values, v_values, max_frames=200):
+    """Run verify on fields over [-1, 1]^2 at the given levels; (exit code, report)."""
+    cfg = tmp_path / "levels.toml"
+    cfg.write_text(
+        CONFIG.replace("n = 3", f"n = {len(levels) + 1}")
+        .replace("a = [1.0, -1.0]", f"a = {list(levels)}")
+        .replace("nx = 17", f"nx = {nx}")
+        .replace("ny = 17", f"ny = {ny}")
+    )
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nx, ny)
+    up, vp, report = tmp_path / "u.csv", tmp_path / "v.csv", tmp_path / "verify.json"
+    write_field_csv(ScalarField2D(dom, u_values), up, name="u")
+    write_field_csv(ScalarField2D(dom, v_values), vp, name="v")
+    code = main([
+        "verify", "--config", str(cfg), "--u", str(up), "--v", str(vp),
+        "--max-frames", str(max_frames), "--report", str(report),
+    ])
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_verify_without_checked_frames_fails_exit4(tmp_path, capsys):
+    # v = y = 0 on the only interior row: every frame has a vanishing radius
+    code, report = _verify_grid(tmp_path, (1.0, 0.25, -1.0), 9, 3,
+                                np.full((9, 3), 0.3), np.zeros((9, 3)))
+    assert code == 4
+    assert "-> FAIL" in capsys.readouterr().out
+    assert report["passed"] is False
+    assert (report["frames"], report["skipped_frames"]) == (0, 7)
+    assert report["skipped_by_reason"]["ZeroRadiusError"] == 7
+
+
+def test_verify_skip_reasons_by_error_type(tmp_path):
+    # min(a_j) twice: v = y = 0 collapses the orbit; the third level at 1e18
+    # stops the branch Newton within 1e-15 of w0 at v = 1e-9, a zero radius
+    v = np.zeros((5, 3))
+    v[2, 1], v[3, 1] = 1e-9, 1.0
+    code, report = _verify_grid(tmp_path, (0.0, 0.0, 1e18), 5, 3, np.zeros((5, 3)), v)
+    assert code in (0, 4)
+    assert (report["frames"], report["skipped_frames"]) == (1, 2)
+    assert report["skipped_by_reason"] == {
+        "SingularPointError": 1,
+        "ZeroRadiusError": 1,
+        "DegenerateBranchError": 0,
+        "RankDeficientError": 0,
+    }
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_max_frames_below_one_exit1(tmp_path, cfg_path, capsys, value):
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    code = main(["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp),
+                 "--max-frames", value])
+    assert code == 1
+    assert f"config error: --max-frames must be >= 1, got {value}" in capsys.readouterr().err
+
+
 # --- example -----------------------------------------------------------------------
 
 def test_example_affine_rows(tmp_path):
@@ -318,6 +374,29 @@ def test_wind_zero_on_loop_exit1(tmp_path, cfg_path):
         "--u1", str(u1), "--v1", str(v1), "--u2", str(u1), "--v2", str(v1),
         "--center", "0,0", "--radius", "0.4",
     ]) == 1
+
+
+# --- configs without [boundary] ------------------------------------------------------
+
+NO_BOUNDARY_CONFIG = CONFIG.replace('[boundary]\nkind = "affine"\ncoefficients = [1.5, 0.5, -0.5]\n', "")
+
+
+def test_commands_without_boundary_section(tmp_path, capsys):
+    assert "[boundary]" not in NO_BOUNDARY_CONFIG
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(NO_BOUNDARY_CONFIG)
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    assert main(["verify", "--config", str(cfg), "--u", str(up), "--v", str(vp)]) == 0
+    assert main(["embed", "--config", str(cfg), "--u", str(up), "--v", str(vp),
+                 "--out", str(tmp_path / "cloud")]) == 0
+    dom = GridDomain(-2.0, 2.0, -2.0, 2.0, 33, 33)
+    u1, v1 = write_affine_fields(tmp_path, 1.0, 0.0, 0.0, dom=dom, tag="1")
+    u2, v2 = write_affine_fields(tmp_path, 0.2, 0.1, -0.1, dom=dom, tag="2")
+    assert main(["wind", "--config", str(cfg), "--u1", str(u1), "--v1", str(v1),
+                 "--u2", str(u2), "--v2", str(v2), "--center=-0.125,0.125", "--radius", "0.4"]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: solve needs a [boundary] section" in capsys.readouterr().err
 
 
 # --- field io ----------------------------------------------------------------------
