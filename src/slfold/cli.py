@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import POINT_COLUMNS, verify_fields
-from .config import load_config
+from .config import RunConfig, load_config
 from .embedding import sample_fields
 from .errors import (
     ConfigError,
@@ -25,7 +25,7 @@ from .errors import (
     SlfoldError,
     YZeroError,
 )
-from .families import AffineSolution, HLConfig, affine_uv, hl_triple, joyce_check
+from .families import HLConfig, hl_triple, joyce_check
 from .fieldio import (
     fmt,
     parse_projection,
@@ -37,7 +37,7 @@ from .fieldio import (
     write_rows_csv,
     write_samples_csv,
 )
-from .grid import GridDomain
+from .grid import GridDomain, ScalarField2D
 from .pde import solve_dirichlet
 from .winding import angle_increments, difference_trace, winding_number
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--out", default=".", help="directory for output artifacts")
 
     p_wind = sub.add_parser("wind", help="winding number of a solution-difference map on a circle")
-    p_wind.add_argument("--config", required=True)
+    p_wind.add_argument("--config", default="", help="optional; a [domain] in it must match the fields")
     p_wind.add_argument("--u1", required=True)
     p_wind.add_argument("--v1", required=True)
     p_wind.add_argument("--u2", required=True)
@@ -99,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if cfg.boundary is None:
-        raise ConfigError("solve needs a [boundary] section")
+    for section in ("domain", "boundary"):
+        if getattr(cfg, section) is None:
+            raise ConfigError(f"solve needs a [{section}] section")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     phi = cfg.boundary.resolve(cfg.domain)
@@ -150,7 +151,7 @@ def cmd_verify(args) -> int:
     if args.max_frames < 1:
         raise ConfigError(f"--max-frames must be >= 1, got {args.max_frames}")
     cfg = load_config(args.config)
-    report = verify_fields(cfg.params, read_field_csv(args.u), read_field_csv(args.v), args.max_frames)
+    report = verify_fields(cfg.params, *_read_fields(cfg, args.u, args.v), args.max_frames)
     budgets = {
         "first_order": args.budget_first_order,
         "omega": args.budget_omega,
@@ -186,6 +187,27 @@ def cmd_verify(args) -> int:
     return 0 if passed else 4
 
 
+def _read_fields(cfg: RunConfig | None, *paths: str) -> list[ScalarField2D]:
+    """Read field CSVs; a [domain] in cfg must be the grid of each of them.
+
+    The nodes must be equal and the bounds within 1e-12 of the domain's span;
+    a mismatch is a ConfigError.
+    """
+    fields = [read_field_csv(path) for path in paths]
+    dom = cfg.domain if cfg else None
+    if dom is None:
+        return fields
+    for path, fld in zip(paths, fields):
+        got = fld.domain
+        if not (
+            (got.nx, got.ny) == (dom.nx, dom.ny)
+            and max(abs(got.x0 - dom.x0), abs(got.x1 - dom.x1)) <= 1e-12 * (dom.x1 - dom.x0)
+            and max(abs(got.y0 - dom.y0), abs(got.y1 - dom.y1)) <= 1e-12 * (dom.y1 - dom.y0)
+        ):
+            raise ConfigError(f"[domain] {dom} is not the grid of {path}: {got}")
+    return fields
+
+
 def _parse_domain(spec: str, nx: int, ny: int) -> GridDomain:
     try:
         x0, x1, y0, y1 = (float(t) for t in spec.split(","))
@@ -197,14 +219,11 @@ def _parse_domain(spec: str, nx: int, ny: int) -> GridDomain:
 def cmd_example(args) -> int:
     if args.family == "affine":
         dom = _parse_domain(args.domain, args.nx, args.ny)
-        sol = AffineSolution(args.alpha, args.beta, args.gamma)
-        rows = []
-        for x in dom.xs():
-            for y in dom.ys():
-                uu, vv = affine_uv(sol, float(x), float(y))
-                rows.append((x, y, uu, vv))
+        x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+        columns = (x, y, args.alpha * x + args.beta, args.alpha * y + args.gamma)
+        rows = np.column_stack([c.ravel() for c in columns])
         out = args.out or "affine.csv"
-        write_rows_csv(("x", "y", "u", "v"), rows, out)
+        write_rows_csv(("x", "y", "u", "v"), rows.tolist(), out)
         print(f"wrote {len(rows)} rows to {out}")
         return 0
 
@@ -246,8 +265,7 @@ def cmd_example(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = load_config(args.config)
-    u = read_field_csv(args.u)
-    v = read_field_csv(args.v)
+    u, v = _read_fields(cfg, args.u, args.v)
     torus_res = args.torus_res if args.torus_res else cfg.torus_resolution
     proj_spec = args.project or cfg.projection
     proj = parse_projection(proj_spec, cfg.params.n)
@@ -271,9 +289,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_wind(args) -> int:
-    load_config(args.config)  # validated for side effect: params present and sane
-    u1, v1 = read_field_csv(args.u1), read_field_csv(args.v1)
-    u2, v2 = read_field_csv(args.u2), read_field_csv(args.v2)
+    cfg = load_config(args.config) if args.config else None
+    u1, v1, u2, v2 = _read_fields(cfg, args.u1, args.v1, args.u2, args.v2)
     try:
         cx, cy = (float(t) for t in args.center.split(","))
     except ValueError:

@@ -1,10 +1,10 @@
 """Run configuration: a TOML file read with the standard library's tomllib.
 
-Sections are ``[params]`` and ``[domain]`` (required), and ``[boundary]``,
+Sections are ``[params]`` (required), and ``[domain]``, ``[boundary]``,
 ``[solver]``, ``[outputs]`` and ``[embedding]`` (optional; only ``solve``
-needs ``[boundary]``).  Boundary data comes from a registry (affine,
-bilinear, inline values, or a CSV of traversal values) so no expression
-parser is needed.
+needs ``[domain]`` and ``[boundary]``).  Boundary data comes from a registry
+(affine, bilinear, inline values, or a CSV of traversal values) so no
+expression parser is needed.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class OutputSpec:
 @dataclass(frozen=True)
 class RunConfig:
     params: ReductionParams
-    domain: GridDomain
+    domain: GridDomain | None  # None without a [domain] section
     boundary: BoundarySpec | None  # None without a [boundary] section
     solver: SolverConfig
     outputs: tuple[OutputSpec, ...]
@@ -147,6 +147,15 @@ def _boundary(bsec: dict) -> BoundarySpec:
     return boundary
 
 
+def _domain(dsec: dict) -> GridDomain:
+    """The [domain] section: all six keys are required."""
+    return GridDomain(
+        *(_number(key, _require(dsec, key, "domain")) for key in ("x0", "x1", "y0", "y1")),
+        _integer("nx", _require(dsec, "nx", "domain")),
+        _integer("ny", _require(dsec, "ny", "domain")),
+    )
+
+
 def _run_config(data: dict) -> RunConfig:
     psec = _section(data, "params")
     a = _numbers("a", _require(psec, "a", "params"))
@@ -155,12 +164,7 @@ def _run_config(data: dict) -> RunConfig:
     n = _integer("n", psec.get("n", len(a) + 1))
     params = ReductionParams(n, a)
 
-    dsec = _section(data, "domain")
-    domain = GridDomain(
-        *(_number(key, _require(dsec, key, "domain")) for key in ("x0", "x1", "y0", "y1")),
-        _integer("nx", _require(dsec, "nx", "domain")),
-        _integer("ny", _require(dsec, "ny", "domain")),
-    )
+    domain = _domain(_section(data, "domain")) if "domain" in data else None
 
     boundary = _boundary(_section(data, "boundary")) if "boundary" in data else None
 

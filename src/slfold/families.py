@@ -19,8 +19,13 @@ from .branch import (
     params_from_levels,
     solve_branch,
 )
-from .errors import DegenerateRegionError, NonpositiveAlphaError, YZeroError
+from .errors import DegenerateRegionError, NoConvergenceError, NonpositiveAlphaError, YZeroError
 from .grid import GridDomain, ScalarField2D
+
+# Step budgets of hl_solve_alpha: doublings (halvings) of the bracket ends,
+# and safeguarded Newton steps of the polish.
+_BRACKET_STEPS = 600
+_POLISH_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,8 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
     -oo as alpha -> oo.  Uniqueness needs P' > 0 across the bracket, which
     is probed before the safeguarded Newton polish; a nonpositive P' inside
     the bracket raises DegenerateRegionError carrying all observed sign
-    changes instead of silently returning one of several roots.
+    changes instead of silently returning one of several roots.  A bracket
+    end or a polish that runs out of steps raises NoConvergenceError.
     """
     if y == 0.0:
         raise YZeroError("the constraint solve requires y != 0")
@@ -123,15 +129,21 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
         return alpha
 
     hi = 1.0
-    for _ in range(600):
-        if hl_residual(cfg, x, y, hi) < 0.0:
+    for _ in range(_BRACKET_STEPS):
+        r = hl_residual(cfg, x, y, hi)
+        if r < 0.0:
             break
         hi *= 2.0
+    else:
+        raise NoConvergenceError(_BRACKET_STEPS, r)
     lo = min(1.0, y * y * x * x / (1.0 + abs(eval_p(p, x * x + 1.0 + cfg.b))))
-    for _ in range(600):
-        if hl_residual(cfg, x, y, lo) > 0.0:
+    for _ in range(_BRACKET_STEPS):
+        r = hl_residual(cfg, x, y, lo)
+        if r > 0.0:
             break
         lo *= 0.5
+    else:
+        raise NoConvergenceError(_BRACKET_STEPS, r)
 
     # uniqueness certificate: P' > 0 and strict decrease at 20 probes
     probes = np.geomspace(lo, hi, 20)
@@ -145,7 +157,7 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
         )
 
     alpha = 0.5 * (lo + hi)
-    for _ in range(200):
+    for _ in range(_POLISH_STEPS):
         r = hl_residual(cfg, x, y, alpha)
         if r > 0.0:
             lo = alpha
@@ -163,7 +175,7 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
         slope = -y * y * x * x / alpha**2 - eval_p_prime(p, x * x + alpha + cfg.b)
         cand = alpha - r / slope if slope < 0.0 else lo
         alpha = cand if lo < cand < hi else 0.5 * (lo + hi)
-    return alpha
+    raise NoConvergenceError(_POLISH_STEPS, r)
 
 
 def hl_triple(cfg: HLConfig, x: float, y: float) -> HLTriple:

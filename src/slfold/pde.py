@@ -10,12 +10,17 @@ Picard (frozen-coefficient) outer loop with one geometric multigrid V-cycle
 per coefficient refresh: alternating zebra line Gauss-Seidel smoothing,
 full-weighting restriction, bilinear prolongation and an exact block
 elimination on the coarsest grid (Briggs, Henson & McCormick, A Multigrid
-Tutorial, 2000).
+Tutorial, 2000).  The smoother's batched tridiagonal line systems are solved
+by parallel cyclic reduction, in ceil(log2 L) vector steps for lines of L
+unknowns; they are factored once per level and V-cycle, since the frozen
+coefficient fixes them for the whole cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +165,13 @@ def transfinite_interpolant(phi: BoundaryData) -> np.ndarray:
     return blend
 
 
+class _LineFactor(NamedTuple):
+    """Cyclic-reduction factors of a batch of tridiagonal line systems."""
+
+    steps: list[tuple[int, np.ndarray, np.ndarray]]  # (stride, alpha, gamma)
+    inv_diag: np.ndarray
+
+
 class _Level:
     """The frozen operator e_xx + c e_yy on one grid of the hierarchy."""
 
@@ -175,6 +187,17 @@ class _Level:
             e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
         )
 
+    @cached_property
+    def lines(self) -> tuple[tuple[_LineFactor, _LineFactor], tuple[_LineFactor, _LineFactor]]:
+        """Factors of the zebra line systems, (y-lines, x-lines) by colour 0, 1.
+
+        Built on the first smoothing sweep and reused by every later one in
+        the cycle; the coarsest level is solved by _block_solve instead.
+        """
+        ylines = tuple(_pcr_factor(self.cy[p::2].T, self.diag[p::2].T) for p in (0, 1))
+        xlines = tuple(_pcr_factor(self.invx, self.diag[:, p::2]) for p in (0, 1))
+        return ylines, xlines
+
 
 def _levels(coef: np.ndarray, hx: float, hy: float) -> list[_Level]:
     """Full coarsening while both interior sides are odd and at least 3."""
@@ -185,35 +208,57 @@ def _levels(coef: np.ndarray, hx: float, hy: float) -> list[_Level]:
     return levels
 
 
-def _tridiag_solve(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm along axis 0, batched over axis 1; overwrites rhs.
+def _pcr_factor(off: float | np.ndarray, diag: np.ndarray) -> _LineFactor:
+    """Parallel cyclic reduction of tridiagonal systems along axis 0, batched over axis 1.
 
-    Row k reads off[k] x[k-1] + diag[k] x[k] + off[k] x[k+1] = rhs[k].
+    Row k reads off[k] x[k-1] + diag[k] x[k] + off[k] x[k+1] = rhs[k]; off is
+    an array of diag's shape or a scalar.  The step with stride s adds
+    alpha times row k-s and gamma times row k+s to row k, which removes
+    x[k-s] and x[k+s] from it; after ceil(log2 L) strides every row is
+    decoupled (Hockney 1965; Gander & Golub 1997).
     """
     n = diag.shape[0]
-    piv = np.empty_like(rhs)
-    piv[0] = diag[0]
-    for k in range(1, n):
-        m = off[k] / piv[k - 1]
-        piv[k] = diag[k] - m * off[k - 1]
-        rhs[k] -= m * rhs[k - 1]
-    rhs[-1] /= piv[-1]
-    for k in range(n - 2, -1, -1):
-        rhs[k] = (rhs[k] - off[k] * rhs[k + 1]) / piv[k]
-    return rhs
+    diag = np.ascontiguousarray(diag)  # C order, like the copies _pcr_solve makes
+    # At stride s, lower[k] couples row k to row k-s (read for k >= s only) and
+    # upper[k] couples it to row k+s (read for k < n-s only).
+    lower = np.empty_like(diag)
+    lower[...] = off
+    upper = lower.copy()
+    steps = []
+    s = 1
+    while s < n:
+        r = -1.0 / diag
+        alpha, gamma = lower[s:] * r[:-s], upper[:-s] * r[s:]
+        diag = diag.copy()
+        diag[s:] += alpha * upper[:-s]
+        diag[:-s] += gamma * lower[s:]
+        lower[2 * s :] = alpha[s:] * lower[s:-s]
+        upper[: -2 * s] = gamma[:-s] * upper[s:-s]
+        steps.append((s, alpha, gamma))
+        s *= 2
+    return _LineFactor(steps, 1.0 / diag)
+
+
+def _pcr_solve(factor: _LineFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve factored systems for rhs, with lines along axis 0; rhs is not changed."""
+    d = rhs
+    for s, alpha, gamma in factor.steps:
+        d, old = d.copy(), d
+        d[s:] += alpha * old[:-s]
+        d[:-s] += gamma * old[s:]
+    return d * factor.inv_diag
 
 
 def _smooth(lv: _Level, e: np.ndarray, b: np.ndarray) -> None:
     """One alternating zebra line Gauss-Seidel sweep: lines along y, then x."""
     mx, my = e.shape
-    invx = np.broadcast_to(lv.invx, b.shape)
+    ylines, xlines = lv.lines
     for p in (0, 1):
         rhs = b[p::2] - lv.invx * (e[p : mx - 2 : 2, 1:-1] + e[p + 2 :: 2, 1:-1])
-        sol = _tridiag_solve(lv.cy[p::2].T, lv.diag[p::2].T, rhs.T.copy())
-        e[p + 1 : mx - 1 : 2, 1:-1] = sol.T
+        e[p + 1 : mx - 1 : 2, 1:-1] = _pcr_solve(ylines[p], rhs.T).T
     for p in (0, 1):
         rhs = b[:, p::2] - lv.cy[:, p::2] * (e[1:-1, p : my - 2 : 2] + e[1:-1, p + 2 :: 2])
-        e[1:-1, p + 1 : my - 1 : 2] = _tridiag_solve(invx[:, p::2], lv.diag[:, p::2], rhs)
+        e[1:-1, p + 1 : my - 1 : 2] = _pcr_solve(xlines[p], rhs)
 
 
 def _restrict(r: np.ndarray) -> np.ndarray:

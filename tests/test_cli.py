@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slfold import families
 from slfold.cli import main
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
@@ -31,6 +32,18 @@ tolerance = 1e-10
 [outputs]
 entries = ["field:csv:fields", "report:json:report.json"]
 """
+
+DOMAIN_SECTION = "[domain]\nx0 = -1.0\nx1 = 1.0\ny0 = -1.0\ny1 = 1.0\nnx = 17\nny = 17\n"
+assert DOMAIN_SECTION in CONFIG
+
+
+def config_on(dom, text=CONFIG):
+    """The config text with its [domain] section set to dom."""
+    return text.replace(DOMAIN_SECTION, (
+        f"[domain]\nx0 = {dom.x0}\nx1 = {dom.x1}\ny0 = {dom.y0}\ny1 = {dom.y1}\n"
+        f"nx = {dom.nx}\nny = {dom.ny}\n"
+    ))
+
 
 SINGULAR_CONFIG = CONFIG.replace("a = [1.0, -1.0]", "a = [1.0, 1.0, 2.0]").replace("n = 3", "n = 4")
 
@@ -272,6 +285,31 @@ def test_example_affine_rows(tmp_path):
     assert len(lines) == 26
 
 
+# Written by the per-node affine_uv loop the command used before it built columns.
+AFFINE_GOLDEN = """\
+x,y,u,v
+-1.1000000000000001,-0.29999999999999999,-2.0700000000000003,-0.10999999999999999
+-1.1000000000000001,0.89999999999999991,-2.0700000000000003,0.72999999999999987
+-1.1000000000000001,2.1000000000000001,-2.0700000000000003,1.5700000000000001
+-0.10000000000000009,-0.29999999999999999,-1.3700000000000001,-0.10999999999999999
+-0.10000000000000009,0.89999999999999991,-1.3700000000000001,0.72999999999999987
+-0.10000000000000009,2.1000000000000001,-1.3700000000000001,1.5700000000000001
+0.90000000000000002,-0.29999999999999999,-0.67000000000000004,-0.10999999999999999
+0.90000000000000002,0.89999999999999991,-0.67000000000000004,0.72999999999999987
+0.90000000000000002,2.1000000000000001,-0.67000000000000004,1.5700000000000001
+"""
+
+
+def test_example_affine_golden_bytes(tmp_path):
+    out = tmp_path / "affine.csv"
+    code = main([
+        "example", "affine", "--alpha", "0.7", "--beta", "-1.3", "--gamma", "0.1",
+        "--domain=-1.1,0.9,-0.3,2.1", "--nx", "3", "--ny", "3", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text() == AFFINE_GOLDEN
+
+
 def test_example_hl_rows_satisfy_invariants(tmp_path):
     out = tmp_path / "hl.csv"
     code = main([
@@ -298,6 +336,14 @@ def test_example_hl_flags_y_zero_rows(tmp_path):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     statuses = {row[-1] for row in rows}
     assert "skipped_y0" in statuses and "ok" in statuses
+
+
+def test_example_hl_root_search_out_of_steps_exit2(tmp_path, monkeypatch, capsys):
+    # a residual with no sign change: the bracket search runs out of doublings
+    monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: 1.0)
+    assert main(["example", "hl", "--a", "1,0", "--b", "0", "--domain", "0.2,1.4,0.2,1.4",
+                 "--nx", "3", "--ny", "3", "--out", str(tmp_path / "hl.csv")]) == 2
+    assert "solver failure: no convergence after 600 iterations" in capsys.readouterr().err
 
 
 def test_example_hl_requires_trailing_zero():
@@ -346,13 +392,15 @@ def test_embed_bad_projection_exit1(tmp_path):
 
 # --- wind --------------------------------------------------------------------------
 
-def test_wind_command(tmp_path, cfg_path, capsys):
+def test_wind_command(tmp_path, capsys):
     dom = GridDomain(-2.0, 2.0, -2.0, 2.0, 33, 33)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(config_on(dom))
     u1, v1 = write_affine_fields(tmp_path, 1.0, 0.0, 0.0, dom=dom, tag="1")
     u2, v2 = write_affine_fields(tmp_path, 0.2, 0.1, -0.1, dom=dom, tag="2")
     trace = tmp_path / "trace.csv"
     code = main([
-        "wind", "--config", str(cfg_path),
+        "wind", "--config", str(cfg),
         "--u1", str(u1), "--v1", str(v1), "--u2", str(u2), "--v2", str(v2),
         "--center=-0.125,0.125", "--radius", "0.4", "--samples", "64",
         "--out", str(trace),
@@ -366,11 +414,13 @@ def test_wind_command(tmp_path, cfg_path, capsys):
     assert float(lines[-1].split(",")[-1]) == pytest.approx(2 * np.pi, rel=1e-9)
 
 
-def test_wind_zero_on_loop_exit1(tmp_path, cfg_path):
+def test_wind_zero_on_loop_exit1(tmp_path):
     dom = GridDomain(-2.0, 2.0, -2.0, 2.0, 33, 33)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(config_on(dom))
     u1, v1 = write_affine_fields(tmp_path, 1.0, 0.0, 0.0, dom=dom, tag="1")
     assert main([
-        "wind", "--config", str(cfg_path),
+        "wind", "--config", str(cfg),
         "--u1", str(u1), "--v1", str(v1), "--u2", str(u1), "--v2", str(v1),
         "--center", "0,0", "--radius", "0.4",
     ]) == 1
@@ -390,6 +440,7 @@ def test_commands_without_boundary_section(tmp_path, capsys):
     assert main(["embed", "--config", str(cfg), "--u", str(up), "--v", str(vp),
                  "--out", str(tmp_path / "cloud")]) == 0
     dom = GridDomain(-2.0, 2.0, -2.0, 2.0, 33, 33)
+    cfg.write_text(config_on(dom, NO_BOUNDARY_CONFIG))
     u1, v1 = write_affine_fields(tmp_path, 1.0, 0.0, 0.0, dom=dom, tag="1")
     u2, v2 = write_affine_fields(tmp_path, 0.2, 0.1, -0.1, dom=dom, tag="2")
     assert main(["wind", "--config", str(cfg), "--u1", str(u1), "--v1", str(v1),
@@ -397,6 +448,66 @@ def test_commands_without_boundary_section(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "config error: solve needs a [boundary] section" in capsys.readouterr().err
+
+
+# --- [domain] against the field files -------------------------------------------------
+
+def _field_argv(tmp_path, command, cfg):
+    """argv of verify, embed or wind on affine fields over [-1, 1]^2 at 17^2."""
+    up, vp = write_affine_fields(tmp_path, 1.0, 0.0, 0.5)
+    if command == "wind":
+        u2, v2 = write_affine_fields(tmp_path, 0.2, 0.1, -0.1, tag="2")
+        argv = ["wind", "--u1", str(up), "--v1", str(vp), "--u2", str(u2), "--v2", str(v2),
+                "--center=-0.125,0.125", "--radius", "0.4"]
+    else:
+        argv = [command, "--u", str(up), "--v", str(vp)]
+        if command == "embed":
+            argv += ["--out", str(tmp_path / "cloud")]
+    if cfg is not None:
+        argv += ["--config", str(cfg)]
+    return argv
+
+
+FIELD_COMMANDS = ["verify", "embed", "wind"]
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+@pytest.mark.parametrize(
+    "edit",
+    [("ny = 17", "ny = 9"), ("y1 = 1.0", "y1 = 1.00000000001")],  # nodes; bounds 5e-12 of the span off
+    ids=["nodes", "bounds"],
+)
+def test_field_commands_refuse_a_domain_unlike_the_fields(tmp_path, capsys, command, edit):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace(*edit))
+    assert main(_field_argv(tmp_path, command, cfg)) == 1
+    assert "config error: [domain]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+def test_field_commands_accept_bounds_within_rounding(tmp_path, command):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace("y1 = 1.0", "y1 = 1.000000000001"))  # 5e-13 of the span
+    assert main(_field_argv(tmp_path, command, cfg)) == 0
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+def test_field_commands_without_domain_section(tmp_path, command):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace(DOMAIN_SECTION, ""))
+    assert main(_field_argv(tmp_path, command, cfg)) == 0
+
+
+def test_wind_without_config(tmp_path, capsys):
+    assert main(_field_argv(tmp_path, "wind", None)) == 0
+    assert "winding=0" in capsys.readouterr().out
+
+
+def test_solve_without_domain_section_exit1(tmp_path, capsys):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace(DOMAIN_SECTION, ""))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: solve needs a [domain] section" in capsys.readouterr().err
 
 
 # --- field io ----------------------------------------------------------------------

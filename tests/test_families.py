@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slfold import families
 from slfold.branch import eval_p, eval_p_prime, params_from_levels, solve_branch
 from slfold.embedding import lift_point
 from slfold.errors import (
     DegenerateRegionError,
+    NoConvergenceError,
     NonpositiveAlphaError,
     YZeroError,
 )
@@ -126,6 +128,21 @@ def test_hl_degenerate_region_reported():
     with pytest.raises(DegenerateRegionError) as exc:
         hl_solve_alpha(cfg, 0.5, 1.0)
     assert isinstance(exc.value.sign_changes, list)
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        lambda alpha: 1.0,  # no hi with r < 0
+        lambda alpha: -1.0,  # no lo with r > 0
+        lambda alpha: 0.3 - alpha + math.copysign(1e-3, 0.3 - alpha),  # jumps over 0
+    ],
+    ids=["hi-bracket", "lo-bracket", "polish"],
+)
+def test_hl_solve_alpha_budget_exhaustion_raises(monkeypatch, residual):
+    monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: residual(alpha))
+    with pytest.raises(NoConvergenceError):
+        hl_solve_alpha(CFG, 1.0, 1.0)
 
 
 def test_hl_triple_sign_laws():

@@ -16,6 +16,8 @@ from slfold.pde import (
     SolverConfig,
     _block_solve,
     _levels,
+    _pcr_factor,
+    _pcr_solve,
     _vcycle,
     ellipticity_field,
     recover_uv,
@@ -282,6 +284,33 @@ def test_vcycle_contracts_anisotropic_error(scale):
     assert np.abs(levels[0].apply(np.pad(exact, 1)) - b).max() <= 1e-9
     err = np.abs(_vcycle(levels, b) - exact).max() / np.abs(exact).max()
     assert err <= 0.25
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 255])
+@pytest.mark.parametrize("lines", ["y", "x"])
+def test_line_solver_matches_dense_solve(length, lines):
+    # the smoother's systems: per-node c_y off the diagonal along y, the scalar
+    # 1/hx^2 along x; diag = -2/hx^2 - 2 c_y; lines along axis 0, batch on axis 1
+    rng = np.random.default_rng(length)
+    invx = 1.0 / 0.05**2
+    cy = rng.uniform(0.01, 100.0, (length, 5)) * invx
+    diag = -2.0 * invx - 2.0 * cy
+    off = cy if lines == "y" else invx
+    rhs = rng.standard_normal((length, 5))
+    x = _pcr_solve(_pcr_factor(off, diag), rhs)
+    offs = np.broadcast_to(off, diag.shape)
+    for j in range(rhs.shape[1]):
+        a = np.diag(diag[:, j]) + np.diag(offs[1:, j], -1) + np.diag(offs[:-1, j], 1)
+        exact = np.linalg.solve(a, rhs[:, j])
+        assert np.abs(x[:, j] - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("nodes", [17, 33, 65])
+def test_dirichlet_cycle_count_is_pinned(nodes):
+    # a change of the cycle's algorithm shows up as a count, not only as a time
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nodes, nodes)
+    sol = solve_dirichlet(P3, dom, BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y))
+    assert sol.iterations == 9
 
 
 @given(
