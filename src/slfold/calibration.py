@@ -11,19 +11,20 @@ form vanishes on all pairs and Im det of the frame matrix vanishes; both are
 evaluated here, together with the calibrated cross product computed two
 independent ways (cofactor determinants versus closed form) and the
 least-squares decomposition of Wy over {Wphi_i, Wx, cross vector}.
+The kernels work on (N, n, n) frame stacks, and the one-frame functions
+call them with N = 1; verify_fields lifts through embedding.lift_nodes.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, branch_w_array, eval_p_prime, solve_branch
-from .embedding import EmbeddedSample, unit_power_i
+from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
+from .embedding import EmbeddedSample, lift_nodes, unit_power_i
 from .errors import (
     DegenerateBranchError,
     RankDeficientError,
@@ -31,7 +32,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .grid import ScalarField2D
-from .pde import residual_first_order
+from .pde import central_differences, residual_first_order
 
 # Radii at or below this are treated as vanishing; frame formulas divide by them.
 ZERO_RADIUS_FLOOR = 1e-14
@@ -154,23 +155,24 @@ def tangent_frame(
     """
     n = params.n
     _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
-    der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, eval_p_prime(params, sample.w))
-    data = (sample.theta_total, sample.w, sample.v, sample.y, u_x, u_y, v_x, v_y)
+    p_prime = eval_p_prime(params, sample.w)
+    der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, p_prime)
+    data = (sample.theta_total, sample.w, p_prime, sample.v, sample.y, u_x, u_y, v_x, v_y)
     cols = _assemble(params, *(np.array([t], dtype=float) for t in data))[0].T.copy()
     return TangentFrame(w_phi=tuple(cols[: n - 2]), wx=cols[n - 2], wy=cols[n - 1],
                         derivs=der, point=sample)
 
 
-def _assemble(params: ReductionParams, theta, w, v, y, u_x, u_y, v_x, v_y) -> np.ndarray:
+def _assemble(params: ReductionParams, theta, w, p_prime, v, y, u_x, u_y, v_x, v_y) -> np.ndarray:
     """Frame matrices (N, n, n) with columns [Wphi_1, ..., Wphi_{n-2}, Wx, Wy].
 
     Every argument is a length-N array: the angle sum Theta, the branch root
-    w, the base values v and y, and the four partials.  The caller has
-    excluded vanishing radii, v = y = 0 and P'(w) below the floor.
+    w, P'(w), the base values v and y, and the four partials.  The caller
+    has excluded vanishing radii, v = y = 0 and P'(w) below the floor.
     """
     n = params.n
     radii = np.sqrt(w[:, None] + np.array(params.a))
-    th_x, th_y, w_x, w_y = (d[:, None] for d in _derivs(n, v, y, v_x, v_y, eval_p_prime(params, w)))
+    th_x, th_y, w_x, w_y = (d[:, None] for d in _derivs(n, v, y, v_x, v_y, p_prime))
     phase = np.exp(1j * (theta / (n - 1)))[:, None]
     zg = radii * phase  # gauge representative of (z_1, ..., z_{n-1})
     m = np.zeros((len(w), n, n), dtype=complex)
@@ -228,10 +230,7 @@ def cross_product_det(vectors: Sequence[np.ndarray]) -> CrossProductVector:
     n = vecs[0].size
     if len(vecs) != n - 1:
         raise ValueError(f"need n-1 = {n - 1} vectors in C^{n}, got {len(vecs)}")
-    stack = np.empty((n, n, n), dtype=complex)
-    stack[:, :, : n - 1] = np.column_stack(vecs)
-    stack[:, :, n - 1] = np.eye(n)  # matrix j ends in e_j
-    return CrossProductVector(np.linalg.det(stack))
+    return CrossProductVector(_cross(np.column_stack(vecs)[None])[0])
 
 
 def cross_product_closed_form(
@@ -299,7 +298,7 @@ def decomposition_check(params: ReductionParams, frame: TangentFrame) -> Decompo
 
 
 def _cross(m: np.ndarray) -> np.ndarray:
-    """Cofactor components det[m_1 | ... | m_{n-1} | e_j] per frame, shape (N, n)."""
+    """Cofactor components det[m_1 | ... | m_{n-1} | e_j] per frame (N, n); m has >= n-1 columns."""
     count, n, _ = m.shape
     stack = np.empty((count, n, n, n), dtype=complex)
     stack[..., : n - 1] = m[:, None, :, : n - 1]
@@ -416,10 +415,10 @@ def verify_fields(
 
     The interior nodes are taken with one stride in both directions, the
     smallest that selects at most about max_frames of them, i outer and j
-    inner.  Partials come from np.gradient.  Each selected node is skipped
-    for the first SKIP_REASONS check it fails, in the order of the one-frame
-    path (lift_point, tangent_frame, decomposition_check); the others are
-    checked FRAME_BLOCK frames at a time.
+    inner.  Partials are pde.central_differences and the lift embedding.lift_nodes.
+    Each selected node is skipped for the first SKIP_REASONS check it fails, in
+    the order of the one-frame path (lift_point, tangent_frame,
+    decomposition_check); the others are checked FRAME_BLOCK frames at a time.
     """
     if max_frames < 1:
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
@@ -431,23 +430,16 @@ def verify_fields(
     stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames))))
     ii, jj = (g.ravel() for g in np.meshgrid(
         np.arange(1, dom.nx - 1, stride), np.arange(1, dom.ny - 1, stride), indexing="ij"))
-    partials = [g[ii, jj] for f in (u, v) for g in np.gradient(f.values, dom.hx, dom.hy)]
+    partials = [d[ii - 1, jj - 1] for f in (u, v) for d in central_differences(f.values, dom.hx, dom.hy)]
     x, y, vv = dom.xs()[ii], dom.ys()[jj], v.values[ii, jj]
-    base = np.empty(len(vv), dtype=complex)
-    base.real, base.imag = vv, y  # as complex(v, y); vv + 1j*y can flip the sign of a zero
-    rotated = unit_power_i(3 - n) * base
-    # math.atan2 is the cmath.phase of total_phase; np.angle differs from it in the
-    # last bit on some nodes, which moves noise-level residuals and their argmax
-    theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
-    w = branch_w_array(params, vv * vv + y * y)
+    theta, w, radicand, collapsed = lift_nodes(params, vv, y)
     p_prime = eval_p_prime(params, w)
 
-    collapsed = (vv == 0.0) & (y == 0.0)
     # an index into SKIP_REASONS, or -1 for a frame to check
     reason = np.select(
         [
             collapsed & (params.min_multiplicity > 1),  # lift_point: no orbit to lift
-            np.any(w[:, None] + np.array(params.a) <= ZERO_RADIUS_FLOOR, axis=1),
+            np.any(radicand <= ZERO_RADIUS_FLOOR, axis=1),
             collapsed,
             p_prime < DEGENERACY_FLOOR,
         ],
@@ -458,7 +450,7 @@ def verify_fields(
     rows, deviations = [], []
     for start in range(0, len(checked), FRAME_BLOCK):
         k = checked[start : start + FRAME_BLOCK]
-        m = _assemble(params, theta[k], w[k], vv[k], y[k], *(p[k] for p in partials))
+        m = _assemble(params, *(c[k] for c in (theta, w, p_prime, vv, y, *partials)))
         coef, fit_residual, rank = _fit(m)
         full = rank >= n
         reason[k[~full]] = 3

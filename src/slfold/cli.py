@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--config", required=True)
     p_embed.add_argument("--u", required=True)
     p_embed.add_argument("--v", required=True)
-    p_embed.add_argument("--torus-res", type=int, default=1)
+    p_embed.add_argument("--torus-res", type=int, help="default: [embedding] torus_resolution")
     p_embed.add_argument("--project", default="", help="three of re:zK/im:zK, comma separated")
     p_embed.add_argument("--vtk", action="store_true", help="also write a VTK point cloud")
     p_embed.add_argument("--out", default=".", help="directory for output artifacts")
@@ -266,7 +266,9 @@ def cmd_example(args) -> int:
 def cmd_embed(args) -> int:
     cfg = load_config(args.config)
     u, v = _read_fields(cfg, args.u, args.v)
-    torus_res = args.torus_res if args.torus_res else cfg.torus_resolution
+    torus_res = cfg.torus_resolution if args.torus_res is None else args.torus_res
+    if torus_res < 1:
+        raise ConfigError(f"torus resolution must be >= 1, got {torus_res}")
     proj_spec = args.project or cfg.projection
     proj = parse_projection(proj_spec, cfg.params.n)
     cloud = sample_fields(cfg.params, u, v, torus_res)

@@ -3,8 +3,8 @@
 Sections are ``[params]`` (required), and ``[domain]``, ``[boundary]``,
 ``[solver]``, ``[outputs]`` and ``[embedding]`` (optional; only ``solve``
 needs ``[domain]`` and ``[boundary]``).  Boundary data comes from a registry
-(affine, bilinear, inline values, or a CSV of traversal values) so no
-expression parser is needed.
+(affine, bilinear, inline values, or a CSV of x,y,value rows along the
+boundary traversal) so no expression parser is needed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .branch import ReductionParams
 from .errors import ConfigError
-from .grid import BoundaryData, GridDomain
+from .fieldio import read_xyv_rows
+from .grid import BoundaryData, GridDomain, boundary_indices
 from .pde import SolverConfig
 
 
@@ -57,9 +58,14 @@ class BoundarySpec:
         if self.kind == "inline":
             return BoundaryData(domain, np.array(self.values))
         if self.kind == "csv":
-            rows = Path(self.path).read_text().strip().splitlines()
-            vals = [float(r.split(",")[-1]) for r in rows[1:]]
-            return BoundaryData(domain, np.array(vals))
+            table = read_xyv_rows(self.path)
+            # row k must sit at traversal node k, within 1e-12 of the span
+            ii, jj = boundary_indices(domain.nx, domain.ny)
+            nodes = np.column_stack([domain.xs()[ii], domain.ys()[jj]])
+            span = np.array([domain.x1 - domain.x0, domain.y1 - domain.y0])
+            if len(table) != len(ii) or np.any(np.abs(table[:, :2] - nodes) > 1e-12 * span):
+                raise ConfigError(f"{self.path}: rows are not the boundary traversal of {domain}")
+            return BoundaryData(domain, table[:, 2])
         raise ConfigError(f"unknown boundary kind {self.kind!r}")
 
 
@@ -189,13 +195,16 @@ def _run_config(data: dict) -> RunConfig:
         outputs.append(OutputSpec(kind=bits[0], format=bits[1], path=bits[2]))
 
     esec = _section(data, "embedding")
+    torus_resolution = _integer("torus_resolution", esec.get("torus_resolution", 1))
+    if torus_resolution < 1:
+        raise ConfigError(f"torus_resolution must be >= 1, got {torus_resolution}")
     return RunConfig(
         params=params,
         domain=domain,
         boundary=boundary,
         solver=solver,
         outputs=tuple(outputs),
-        torus_resolution=_integer("torus_resolution", esec.get("torus_resolution", 1)),
+        torus_resolution=torus_resolution,
         projection=str(esec.get("projection", f"re:z{n},im:z{n},re:z1")),
     )
 

@@ -5,18 +5,22 @@ x + iu) with r_j = sqrt(w + a_j), where w solves P(w) = v^2 + y^2 on the
 distinguished branch and the angle sum Theta = t_1 + ... + t_{n-1} is pinned
 by i^{n-3} z_1 ... z_{n-1} = v + iy.  Individual angles are gauge; the torus
 action moves them freely at fixed Theta.
+
+lift_nodes lifts arrays of nodes for sample_fields and calibration.verify_fields;
+lift_point, on one point with the scalar branch solver, is its reference.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .branch import ReductionParams, solve_branch
+from .branch import ReductionParams, branch_w_array, solve_branch
 from .errors import SingularPointError
 from .grid import ScalarField2D, require_same_domain
 
@@ -59,21 +63,6 @@ class EmbeddedSample:
         return (self.x, self.y, self.u, self.v)
 
 
-def _base_point(params: ReductionParams, v: float, y: float) -> tuple[float, float, np.ndarray]:
-    """(Theta, w, radii) over the base point; shared by its whole torus orbit."""
-    if v == 0.0 and y == 0.0:
-        if params.min_multiplicity > 1:
-            raise SingularPointError("orbit collapses at v = y = 0 for degenerate min(a_j)")
-        theta_sum = 0.0  # product of the z_j vanishes; the phase is immaterial
-    else:
-        theta_sum = total_phase(params, v, y)
-
-    w = solve_branch(params, v * v + y * y).w
-    radicand = np.array([w + aj for aj in params.a])
-    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
-    return theta_sum, w, np.sqrt(radicand)
-
-
 def lift_point(
     params: ReductionParams,
     x: float,
@@ -92,10 +81,37 @@ def lift_point(
     angles = tuple(float(t) for t in (torus_angles if torus_angles is not None else [0.0] * (n - 2)))
     if len(angles) != n - 2:
         raise ValueError(f"need n-2 = {n - 2} torus angles, got {len(angles)}")
-    theta_sum, w, radii = _base_point(params, v, y)
+    if v == 0.0 and y == 0.0:
+        if params.min_multiplicity > 1:
+            raise SingularPointError("orbit collapses at v = y = 0 for degenerate min(a_j)")
+        theta_sum = 0.0  # product of the z_j vanishes; the phase is immaterial
+    else:
+        theta_sum = total_phase(params, v, y)
+    w = solve_branch(params, v * v + y * y).w
+    radicand = np.array([w + aj for aj in params.a])
+    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
+    radii = np.sqrt(radicand)
     z = np.append(radii * np.exp(1j * np.array(angles + (theta_sum - sum(angles),))), complex(x, u))
     return EmbeddedSample(z=z, x=float(x), y=float(y), u=float(u), v=float(v),
                           w=w, theta_total=theta_sum, torus_angles=angles)
+
+
+def lift_nodes(params: ReductionParams, v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Theta, w, radicands w + a_j, v = y = 0 mask) of lift_point at every node of (v, y).
+
+    Theta is 0 on collapsed nodes and w comes from branch_w_array; no node is skipped.
+    """
+    base = np.empty(len(v), dtype=complex)
+    base.real, base.imag = v, y  # as complex(v, y); v + 1j*y can flip the sign of a zero
+    rotated = unit_power_i(3 - params.n) * base
+    # math.atan2 is total_phase's cmath.phase bit for bit; np.angle can differ in the last bit
+    theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
+    collapsed = (v == 0.0) & (y == 0.0)
+    theta[collapsed] = 0.0  # product of the z_j vanishes; the phase is immaterial
+    w = branch_w_array(params, v * v + y * y)
+    radicand = w[:, None] + np.array(params.a)
+    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
+    return theta, w, radicand, collapsed
 
 
 def moment_residual(params: ReductionParams, sample: EmbeddedSample) -> np.ndarray:
@@ -138,26 +154,20 @@ def sample_fields(
         raise ValueError("torus_resolution must be >= 1")
     n = params.n
     dom = require_same_domain(u, v)
-    ys = dom.ys().tolist()
-    nodes: list[tuple[float, ...]] = []  # x, y, u, v, w, Theta, radii
-    skipped: list[tuple[int, int]] = []
-    for i, (x, ucol, vcol) in enumerate(zip(dom.xs().tolist(), u.values.tolist(), v.values.tolist())):
-        for j, (y, uu, vv) in enumerate(zip(ys, ucol, vcol)):
-            try:
-                theta_sum, w, radii = _base_point(params, vv, y)
-            except SingularPointError:
-                skipped.append((i, j))
-                continue
-            nodes.append((x, y, uu, vv, w, theta_sum, *radii))
+    x, y = (g.ravel() for g in np.meshgrid(dom.xs(), dom.ys(), indexing="ij"))
+    vv = v.values.ravel()
+    theta, w, radicand, collapsed = lift_nodes(params, vv, y)
+    keep = ~(collapsed & (params.min_multiplicity > 1))
+    skipped = [divmod(k, dom.ny) for k in np.flatnonzero(~keep).tolist()]
 
     indices = itertools.product(range(torus_resolution), repeat=n - 2)
     lattice = 2.0 * np.pi / torus_resolution * np.array(list(indices), dtype=float)
-    table = np.repeat(np.array(nodes, dtype=float).reshape(-1, 5 + n), len(lattice), axis=0)
-    base, radii = table[:, :6], table[:, 6:]
-    angles = np.tile(lattice, (len(nodes), 1))
+    base = np.column_stack([x, y, u.values.ravel(), vv, w, theta])[keep]
+    base, radii = (np.repeat(t, len(lattice), axis=0) for t in (base, np.sqrt(radicand[keep])))
+    angles = np.tile(lattice, (int(keep.sum()), 1))
     # the angle sum runs left to right, as sum() adds the angles in lift_point
     phases = np.column_stack([angles, base[:, 5] - angles.cumsum(axis=1)[:, -1]])
-    z = np.empty((len(table), n), dtype=complex)
+    z = np.empty((len(base), n), dtype=complex)
     z[:, : n - 1] = radii * np.exp(1j * phases)
     z[:, n - 1].real = base[:, 0]  # not x + 1j*u, which can flip the sign of a zero
     z[:, n - 1].imag = base[:, 2]

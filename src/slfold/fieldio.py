@@ -27,23 +27,25 @@ def write_field_csv(field: ScalarField2D, path: str | Path, name: str = "value")
     write_rows_csv(("x", "y", name), rows, path)
 
 
+def read_xyv_rows(path: str | Path) -> np.ndarray:
+    """The x,y,value rows after a CSV's header line, as an (N, 3) array; ValueError otherwise."""
+    text = Path(path).read_text().strip().splitlines()
+    if not text or "," not in text[0]:
+        raise ValueError(f"{path}: not an x,y,value CSV")
+    rows = [line.split(",") for line in text[1:]]
+    if any(len(r) != 3 for r in rows):
+        raise ValueError(f"{path}: every row must be x,y,value")
+    return np.array([float(t) for r in rows for t in r]).reshape(-1, 3)
+
+
 def read_field_csv(path: str | Path) -> ScalarField2D:
     """Read what write_field_csv writes: x,y,value rows over a uniform grid, x outer, y inner.
 
     Rows in any other order, a missing node, or nodes spaced unevenly by more
     than 1e-9 of the axis span raise ValueError.
     """
-    text = Path(path).read_text().strip().splitlines()
-    if not text or "," not in text[0]:
-        raise ValueError(f"{path}: not a field CSV")
-    rows = [line.split(",") for line in text[1:]]
-    if any(len(r) != 3 for r in rows):
-        raise ValueError(f"{path}: every row must be x,y,value")
-    xs = np.array([float(r[0]) for r in rows])
-    ys = np.array([float(r[1]) for r in rows])
-    vals = np.array([float(r[2]) for r in rows])
-    ux = np.unique(xs)
-    uy = np.unique(ys)
+    xs, ys, vals = read_xyv_rows(path).T
+    ux, uy = np.unique(xs), np.unique(ys)
     nx, ny = ux.size, uy.size
     if not vals.size or nx * ny != vals.size or not (
         np.array_equal(xs, np.repeat(ux, ny)) and np.array_equal(ys, np.tile(uy, nx))
@@ -80,16 +82,10 @@ def write_field_vtk(field: ScalarField2D, path: str | Path, name: str = "value")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sample_header(n: int) -> list[str]:
-    cols = ["x", "y", "u", "v", "w", "theta"]
-    for k in range(1, n + 1):
-        cols += [f"re_z{k}", f"im_z{k}"]
-    return cols
-
-
 def write_samples_csv(cloud: SurfaceSamples, path: str | Path) -> None:
+    zs = [f"{part}_z{k}" for k in range(1, cloud.z.shape[1] + 1) for part in ("re", "im")]
     table = np.hstack([cloud.base, cloud.z.view(float)])
-    write_rows_csv(sample_header(cloud.z.shape[1]), _float_rows(table), path)
+    write_rows_csv(["x", "y", "u", "v", "w", "theta", *zs], _float_rows(table), path)
 
 
 # --- point-cloud projections -------------------------------------------------

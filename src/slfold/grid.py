@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,27 +45,19 @@ class GridDomain:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
-@lru_cache(maxsize=64)
 def boundary_indices(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) index arrays of the closed counterclockwise boundary traversal.
 
     Starts at (0, 0) -> bottom edge -> right edge -> top edge -> left edge,
     without repeating the starting node.  Length is 2*(nx + ny) - 4.
     """
-    ii: list[int] = []
-    jj: list[int] = []
-    for i in range(nx):
-        ii.append(i), jj.append(0)
-    for j in range(1, ny):
-        ii.append(nx - 1), jj.append(j)
-    for i in range(nx - 2, -1, -1):
-        ii.append(i), jj.append(ny - 1)
-    for j in range(ny - 2, 0, -1):
-        ii.append(0), jj.append(j)
-    out = np.array(ii, dtype=int), np.array(jj, dtype=int)
-    out[0].setflags(write=False)
-    out[1].setflags(write=False)
-    return out
+    edges = (  # (i, j) per edge: bottom, right, top, left
+        (np.arange(nx), np.zeros(nx, dtype=int)),
+        (np.full(ny - 1, nx - 1), np.arange(1, ny)),
+        (np.arange(nx - 2, -1, -1), np.full(nx - 1, ny - 1)),
+        (np.zeros(ny - 2, dtype=int), np.arange(ny - 2, 0, -1)),
+    )
+    return tuple(np.concatenate(column) for column in zip(*edges))
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,17 +64,19 @@ class PdeSolution:
     ellipticity_margin: float
 
 
-def _dx_central(arr: np.ndarray, hx: float) -> np.ndarray:
-    return (arr[2:, 1:-1] - arr[:-2, 1:-1]) / (2.0 * hx)
+def central_differences(values: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """(D_x, D_y) at interior nodes: bit for bit the interior of np.gradient(values, hx, hy)."""
+    return _central(values[:, 1:-1], hx), _central(values[1:-1].T, hy).T
 
 
-def _dy_central(arr: np.ndarray, hy: float) -> np.ndarray:
-    return (arr[1:-1, 2:] - arr[1:-1, :-2]) / (2.0 * hy)
+def _central(vals: np.ndarray, h: float) -> np.ndarray:
+    """Central difference along axis 0, at rows 1 to -2."""
+    return (vals[2:] - vals[:-2]) / (2.0 * h)
 
 
 def _interior_coefficient(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> np.ndarray:
     """P'(w) at interior nodes with s = (D_x f)^2 + y^2 from the iterate."""
-    fx = _dx_central(f, domain.hx)
+    fx = _central(f[:, 1:-1], domain.hx)  # D_x of central_differences
     s = fx * fx + domain.ys()[None, 1:-1] ** 2
     return ellipticity_array(params, s)
 
@@ -98,8 +100,9 @@ def residual_first_order(
     r2 = np.zeros_like(uu)
     s = vv[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2
     coef = ellipticity_array(params, s)
-    r1[1:-1, 1:-1] = _dx_central(uu, dom.hx) - _dy_central(vv, dom.hy)
-    r2[1:-1, 1:-1] = _dx_central(vv, dom.hx) + coef * _dy_central(uu, dom.hy)
+    (u_x, u_y), (v_x, v_y) = (central_differences(g, dom.hx, dom.hy) for g in (uu, vv))
+    r1[1:-1, 1:-1] = u_x - v_y
+    r2[1:-1, 1:-1] = v_x + coef * u_y
     return ScalarField2D(dom, r1), ScalarField2D(dom, r2)
 
 
@@ -125,20 +128,17 @@ def _potential_residual_interior(
 def recover_uv(f: ScalarField2D) -> tuple[ScalarField2D, ScalarField2D]:
     """(u, v) = (D_y f, D_x f): central interior, second-order one-sided edges."""
     dom = f.domain
-    vals = f.values
-    hx, hy = dom.hx, dom.hy
+    u = _axis0_derivative(f.values.T, dom.hy).T
+    return ScalarField2D(dom, u), ScalarField2D(dom, _axis0_derivative(f.values, dom.hx))
 
-    u = np.empty_like(vals)
-    u[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2.0 * hy)
-    u[:, 0] = (-3.0 * vals[:, 0] + 4.0 * vals[:, 1] - vals[:, 2]) / (2.0 * hy)
-    u[:, -1] = (3.0 * vals[:, -1] - 4.0 * vals[:, -2] + vals[:, -3]) / (2.0 * hy)
 
-    v = np.empty_like(vals)
-    v[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2.0 * hx)
-    v[0, :] = (-3.0 * vals[0, :] + 4.0 * vals[1, :] - vals[2, :]) / (2.0 * hx)
-    v[-1, :] = (3.0 * vals[-1, :] - 4.0 * vals[-2, :] + vals[-3, :]) / (2.0 * hx)
-
-    return ScalarField2D(dom, u), ScalarField2D(dom, v)
+def _axis0_derivative(vals: np.ndarray, h: float) -> np.ndarray:
+    """Derivative along axis 0: central inside, one-sided second order at both ends."""
+    d = np.empty_like(vals)
+    d[1:-1] = _central(vals, h)
+    d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
+    d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    return d
 
 
 def transfinite_interpolant(phi: BoundaryData) -> np.ndarray:

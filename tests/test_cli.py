@@ -7,7 +7,7 @@ from slfold import families
 from slfold.cli import main
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
-from slfold.grid import GridDomain, ScalarField2D
+from slfold.grid import GridDomain, ScalarField2D, boundary_indices
 
 CONFIG = """
 [params]
@@ -388,6 +388,55 @@ def test_embed_bad_projection_exit1(tmp_path):
         "embed", "--config", str(cfg), "--u", str(up), "--v", str(vp),
         "--project", "re:z9,im:z1,re:z1", "--out", str(tmp_path / "c"),
     ]) == 1
+
+
+DOM5 = GridDomain(-1.0, 1.0, -1.0, 1.0, 5, 5)
+
+
+def embed_res_config(tmp_path, torus_resolution):
+    """An n = 4 config on DOM5 with the given [embedding] torus_resolution."""
+    text = config_on(DOM5).replace("n = 3", "n = 4").replace("a = [1.0, -1.0]", "a = [1.0, 0.25, -1.0]")
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(text + f"\n[embedding]\ntorus_resolution = {torus_resolution}\n")
+    return cfg
+
+
+@pytest.mark.parametrize("flag, res", [([], 4), (["--torus-res", "2"], 2), (["--torus-res", "1"], 1)])
+def test_embed_torus_resolution_from_config_unless_flag_given(tmp_path, flag, res):
+    cfg = embed_res_config(tmp_path, 4)
+    up, vp = write_affine_fields(tmp_path, 1.0, 0.2, 0.4, dom=DOM5)
+    out = tmp_path / "cloud"
+    assert main(["embed", "--config", str(cfg), "--u", str(up), "--v", str(vp), *flag,
+                 "--out", str(out)]) == 0
+    skip = json.loads((out / "skip_report.json").read_text())
+    assert (skip["torus_resolution"], skip["samples"]) == (res, 25 * res**2)
+
+
+@pytest.mark.parametrize("flag, config_res", [(["--torus-res", "0"], 4), (["--torus-res", "-1"], 4), ([], 0)])
+def test_embed_torus_resolution_below_one_exit1(tmp_path, capsys, flag, config_res):
+    cfg = embed_res_config(tmp_path, config_res)
+    up, vp = write_affine_fields(tmp_path, 1.0, 0.2, 0.4, dom=DOM5)
+    out = tmp_path / "cloud"
+    assert main(["embed", "--config", str(cfg), "--u", str(up), "--v", str(vp), *flag,
+                 "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, code", [("none", 0), ("written on [-2, 2]^2", 1), ("rows reversed", 1)])
+def test_solve_refuses_a_boundary_csv_off_the_traversal(tmp_path, capsys, edit, code):
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    ii, jj = boundary_indices(dom.nx, dom.ny)
+    scale = 2.0 if edit.startswith("written") else 1.0
+    xs, ys = (scale * dom.xs()[ii]).tolist(), (scale * dom.ys()[jj]).tolist()
+    rows = [f"{x!r},{y!r},{x * y + 0.5 * x!r}\n" for x, y in zip(xs, ys)]
+    csv = tmp_path / "phi.csv"
+    csv.write_text("x,y,value\n" + "".join(rows[::-1] if edit == "rows reversed" else rows))
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace('kind = "affine"\ncoefficients = [1.5, 0.5, -0.5]',
+                                  f'kind = "csv"\npath = "{csv.as_posix()}"'))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert ("rows are not the boundary traversal" in capsys.readouterr().err) == (code == 1)
 
 
 # --- wind --------------------------------------------------------------------------

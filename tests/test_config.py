@@ -3,7 +3,7 @@ import pytest
 
 from slfold.config import BoundarySpec, config_from_dict, load_config, parse_config_text
 from slfold.errors import ConfigError
-from slfold.grid import BoundaryData, GridDomain
+from slfold.grid import BoundaryData, GridDomain, boundary_indices
 
 BASE = """
 [params]
@@ -205,13 +205,51 @@ def test_boundary_registry():
     assert inline.values[3] == 3.0
 
 
+def write_boundary_csv(path, dom, values, xs=None, ys=None):
+    """x,y,value rows at the traversal nodes of dom, or at the given xs, ys."""
+    ii, jj = boundary_indices(dom.nx, dom.ny)
+    xs = dom.xs()[ii] if xs is None else xs
+    ys = dom.ys()[jj] if ys is None else ys
+    rows = ["x,y,value"] + [f"{x!r},{y!r},{v!r}" for x, y, v in zip(xs.tolist(), ys.tolist(), values)]
+    path.write_text("\n".join(rows) + "\n")
+
+
 def test_boundary_csv_source(tmp_path):
     dom = GridDomain(0.0, 1.0, 0.0, 1.0, 4, 4)
-    rows = ["value"] + [str(float(k)) for k in range(12)]
     path = tmp_path / "phi.csv"
-    path.write_text("\n".join(rows) + "\n")
+    write_boundary_csv(path, dom, [float(k) for k in range(12)])
     phi = BoundarySpec(kind="csv", path=str(path)).resolve(dom)
     assert phi.values[-1] == 11.0
+
+
+def test_boundary_csv_accepts_nodes_within_rounding(tmp_path):
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 5, 4)
+    ii, jj = boundary_indices(dom.nx, dom.ny)
+    path = tmp_path / "phi.csv"
+    values = np.linspace(-1.0, 2.0, len(ii)).tolist()
+    write_boundary_csv(path, dom, values, dom.xs()[ii] + 1e-13, dom.ys()[jj] - 1e-13)
+    phi = BoundarySpec(kind="csv", path=str(path)).resolve(dom)
+    assert phi.values.tolist() == values
+
+
+@pytest.mark.parametrize("edit", ["other bounds", "reversed rows", "value column only", "one row short"])
+def test_boundary_csv_rows_must_be_the_traversal(tmp_path, edit):
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 5, 4)
+    ii, jj = boundary_indices(dom.nx, dom.ny)
+    xs, ys = dom.xs()[ii], dom.ys()[jj]
+    values = np.arange(len(ii), dtype=float).tolist()
+    path = tmp_path / "phi.csv"
+    if edit == "other bounds":
+        write_boundary_csv(path, dom, values, 2.0 * xs, 2.0 * ys)
+    elif edit == "reversed rows":
+        write_boundary_csv(path, dom, values[::-1], xs[::-1], ys[::-1])
+    elif edit == "value column only":
+        path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    else:
+        write_boundary_csv(path, dom, values[:-1], xs[:-1], ys[:-1])
+    # a file that is not x,y,value rows is refused as field CSVs are, by ValueError
+    with pytest.raises(ValueError if edit == "value column only" else ConfigError):
+        BoundarySpec(kind="csv", path=str(path)).resolve(dom)
 
 
 def test_load_config_missing_file(tmp_path):

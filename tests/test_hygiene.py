@@ -1,7 +1,10 @@
-"""Every imported name is used: an AST scan of src/, scripts/ and tests/.
+"""AST scans: every imported name is used, and no private name in src/ is left unread.
 
-Package ``__init__.py`` files are skipped (their imports are re-exports), and
-so is ``from __future__ import ...``.
+The import scan covers src/, scripts/ and tests/.  Package ``__init__.py``
+files are skipped (their imports are re-exports), and so is
+``from __future__ import ...``.  The private-name scan flags a module-level
+``_name`` of src/ that no src/ file reads, such as a kernel left behind when
+its callers moved to a shared copy.
 """
 
 import ast
@@ -47,3 +50,39 @@ def test_every_import_is_used():
         if p.name != "__init__.py" and (bad := unused_imports(p.read_text()))
     }
     assert found == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'file: name' for each module-level _name (not __dunder__) that no source reads."""
+    defined, read = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path, name) for name in names if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{path}: {name}" for path, name in defined if name not in read]
+
+
+def test_scan_flags_unread_private_names():
+    sources = {
+        "a.py": "_TABLE = (1, 2)\n_left = 0\n__all__ = []\ndef _helper():\n    return _TABLE\n"
+                "def _base_point():\n    pass\nclass _Frame:\n    pass\n",
+        "b.py": "from .a import _helper\nx = _helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _left", "a.py: _base_point", "a.py: _Frame"]
+
+
+def test_every_private_name_in_src_is_read():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert unread_private_names({str(p.relative_to(ROOT)): p.read_text() for p in files}) == []

@@ -19,6 +19,7 @@ from slfold.pde import (
     _pcr_factor,
     _pcr_solve,
     _vcycle,
+    central_differences,
     ellipticity_field,
     recover_uv,
     residual_first_order,
@@ -41,6 +42,9 @@ def field(fn, dom=DOM):
 
 def test_boundary_traversal_structure():
     ii, jj = boundary_indices(5, 4)
+    assert ii.tolist() == [0, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 0, 0, 0]
+    assert jj.tolist() == [0, 0, 0, 0, 0, 1, 2, 3, 3, 3, 3, 3, 2, 1]
+    assert ii.dtype == jj.dtype == np.dtype(int)
     assert len(ii) == 2 * (5 + 4) - 4
     assert (ii[0], jj[0]) == (0, 0)
     # closed: last node is adjacent to the first, not equal to it
@@ -57,6 +61,16 @@ def test_boundary_roundtrip():
 
 
 # --- residuals ----------------------------------------------------------------
+
+def test_central_differences_are_the_interior_of_np_gradient(rng):
+    dom = GridDomain(-1.0, 2.0, 0.5, 1.3, 11, 7)  # hx != hy
+    values = rng.normal(size=(dom.nx, dom.ny))
+    d_x, d_y = central_differences(values, dom.hx, dom.hy)
+    g_x, g_y = np.gradient(values, dom.hx, dom.hy)
+    # bit for bit: verify_fields took its partials from np.gradient before
+    assert d_x.tobytes() == g_x[1:-1, 1:-1].tobytes()
+    assert d_y.tobytes() == g_y[1:-1, 1:-1].tobytes()
+
 
 def test_first_order_residual_affine_is_zero(rng):
     for _ in range(10):
