@@ -251,9 +251,11 @@ def cmd_example(args) -> int:
         return 0
 
     # joyce
-    if not args.a:
-        raise ConfigError("joyce needs --a with one nonzero value")
-    a = float(args.a.split(",")[0])
+    if not args.a or "," in args.a:
+        raise ConfigError(f"joyce needs --a with one nonzero value, got {args.a!r}")
+    if args.s_count < 1:
+        raise ConfigError(f"--s-count must be >= 1, got {args.s_count}")
+    a = float(args.a)
     s_grid = np.linspace(0.0, args.s_max, args.s_count)
     check = joyce_check(a, s_grid)
     if args.out:

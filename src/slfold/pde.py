@@ -7,19 +7,21 @@ Potential form:          f_xx + P'(w) f_yy = 0 with (u, v) = (f_y, f_x) and
 Discretisation is the 5-point second-order stencil; the nonlinear coefficient
 is evaluated nodewise from the current iterate.  The Dirichlet solver runs a
 Picard (frozen-coefficient) outer loop with one geometric multigrid V-cycle
-per coefficient refresh: alternating zebra line Gauss-Seidel smoothing,
-full-weighting restriction, bilinear prolongation and an exact block
-elimination on the coarsest grid (Briggs, Henson & McCormick, A Multigrid
-Tutorial, 2000).  The smoother's batched tridiagonal line systems are solved
-by parallel cyclic reduction, in ceil(log2 L) vector steps for lines of L
-unknowns; they are factored once per level and V-cycle, since the frozen
-coefficient fixes them for the whole cycle.
+per coefficient refresh (Briggs, Henson & McCormick, A Multigrid Tutorial,
+2000).  Each interior side m coarsens to max(1, (m - 1) // 2) until a side
+is 1, where one smoothing sweep is an exact solve.  The smoother is
+alternating zebra line Gauss-Seidel; restriction and prolongation come from
+the coarse grid's hat functions, which is full weighting and bilinear
+interpolation where the grids nest.  The smoother's batched tridiagonal
+line systems are solved by parallel cyclic reduction, in ceil(log2 L)
+vector steps for lines of L unknowns; they are factored once per level and
+V-cycle, since the frozen coefficient fixes them for the whole cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -192,7 +194,7 @@ class _Level:
         """Factors of the zebra line systems, (y-lines, x-lines) by colour 0, 1.
 
         Built on the first smoothing sweep and reused by every later one in
-        the cycle; the coarsest level is solved by _block_solve instead.
+        the cycle, on the coarsest level too.
         """
         ylines = tuple(_pcr_factor(self.cy[p::2].T, self.diag[p::2].T) for p in (0, 1))
         xlines = tuple(_pcr_factor(self.invx, self.diag[:, p::2]) for p in (0, 1))
@@ -200,12 +202,35 @@ class _Level:
 
 
 def _levels(coef: np.ndarray, hx: float, hy: float) -> list[_Level]:
-    """Full coarsening while both interior sides are odd and at least 3."""
+    """Coarsen each interior side m to max(1, (m - 1) // 2) until a side is 1.
+
+    Odd sides nest; an even side gets a coarse grid on the same interval.
+    The coarse coefficient is the fine one interpolated at the coarse nodes.
+    """
     levels = [_Level(coef, hx, hy)]
-    while all(m % 2 == 1 and m >= 3 for m in coef.shape):
-        coef, hx, hy = coef[1::2, 1::2], 2.0 * hx, 2.0 * hy
+    while min(coef.shape) > 1:
+        mx, my = coef.shape
+        cx, cy = max(1, (mx - 1) // 2), max(1, (my - 1) // 2)
+        coef = _hat(cx, mx) @ coef @ _hat(cy, my).T
+        hx, hy = hx * ((mx + 1) / (cx + 1)), hy * ((my + 1) / (cy + 1))
         levels.append(_Level(coef, hx, hy))
     return levels
+
+
+@lru_cache(maxsize=128)
+def _hat(m: int, mc: int) -> np.ndarray:
+    """The mc coarse hat functions at the m fine nodes: a read-only (m, mc) matrix.
+
+    Both grids are the equispaced interior nodes of one interval, with zeros
+    at its ends; the integer numerators keep nested weights exactly 0, 1/2, 1.
+    Cached, as the matrices depend only on the grid: a hierarchy of k levels
+    reads at most 4(k - 1), and the bound keeps a process that solves on
+    many grids from holding them all.
+    """
+    i, j = np.arange(1, m + 1)[:, None], np.arange(1, mc + 1)[None, :]
+    hat = np.maximum(0.0, 1.0 - np.abs(i * (mc + 1) - j * (m + 1)) / (m + 1))
+    hat.flags.writeable = False
+    return hat
 
 
 def _pcr_factor(off: float | np.ndarray, diag: np.ndarray) -> _LineFactor:
@@ -261,52 +286,22 @@ def _smooth(lv: _Level, e: np.ndarray, b: np.ndarray) -> None:
         e[1:-1, p + 1 : my - 1 : 2] = _pcr_solve(xlines[p], rhs)
 
 
-def _restrict(r: np.ndarray) -> np.ndarray:
-    """Full weighting of an interior array onto the coarse interior."""
-    t = 0.25 * (r[:-2:2] + 2.0 * r[1::2] + r[2::2])
-    return 0.25 * (t[:, :-2:2] + 2.0 * t[:, 1::2] + t[:, 2::2])
-
-
-def _prolong(ec: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a coarse interior array onto the fine interior."""
-    p = np.pad(ec, 1)
-    t = np.empty((2 * ec.shape[0] + 1, p.shape[1]))
-    t[1::2] = p[1:-1]
-    t[0::2] = 0.5 * (p[:-1] + p[1:])
-    out = np.empty((t.shape[0], 2 * ec.shape[1] + 1))
-    out[:, 1::2] = t[:, 1:-1]
-    out[:, 0::2] = 0.5 * (t[:, :-1] + t[:, 1:])
-    return out
-
-
-def _block_solve(lv: _Level, b: np.ndarray) -> np.ndarray:
-    """Exact solve by block-tridiagonal elimination; a block is one line along y."""
-    a = lv.invx
-    mx, my = b.shape
-    inv = np.empty((mx, my, my))
-    g = b.copy()
-    for i in range(mx):
-        t = np.diag(lv.diag[i]) + np.diag(lv.cy[i, 1:], -1) + np.diag(lv.cy[i, :-1], 1)
-        if i:
-            t -= a * a * inv[i - 1]
-            g[i] -= a * (inv[i - 1] @ g[i - 1])
-        inv[i] = np.linalg.inv(t)
-    e = np.empty_like(b)
-    e[-1] = inv[-1] @ g[-1]
-    for i in range(mx - 2, -1, -1):
-        e[i] = inv[i] @ (g[i] - a * e[i + 1])
-    return e
-
-
 def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V(1,1) cycle for e_xx + c e_yy = b from e = 0; interior in and out."""
+    """One V(1,1) cycle for e_xx + c e_yy = b from e = 0; interior in and out.
+
+    On the coarsest level a side is 1, so the line solves of one sweep
+    cover the whole system and the sweep is exact.
+    """
     lv = levels[0]
-    if len(levels) == 1:
-        return _block_solve(lv, b)
     e = np.zeros((b.shape[0] + 2, b.shape[1] + 2))
     _smooth(lv, e, b)
-    e[1:-1, 1:-1] += _prolong(_vcycle(levels[1:], _restrict(b - lv.apply(e))))
-    _smooth(lv, e, b)
+    if len(levels) > 1:
+        (mx, my), (cx, cy) = b.shape, levels[1].cy.shape
+        px, py = _hat(mx, cx), _hat(my, cy)
+        scale = (cx + 1) / (mx + 1) * ((cy + 1) / (my + 1))  # (hx / Hx) (hy / Hy)
+        coarse = _vcycle(levels[1:], scale * (px.T @ (b - lv.apply(e)) @ py))
+        e[1:-1, 1:-1] += px @ coarse @ py.T
+        _smooth(lv, e, b)
     return e[1:-1, 1:-1]
 
 

@@ -358,6 +358,18 @@ def test_example_joyce_deviation(tmp_path, capsys):
     assert float(printed.split("=")[1]) <= 1e-10
 
 
+def test_example_joyce_rejects_several_levels(capsys):
+    assert main(["example", "joyce", "--a", "1,7,9"]) == 1
+    assert "one nonzero value" in capsys.readouterr().err
+
+
+def test_example_joyce_rejects_an_empty_s_grid(tmp_path, capsys):
+    out = tmp_path / "joyce.csv"
+    assert main(["example", "joyce", "--a", "1", "--s-count", "0", "--out", str(out)]) == 1
+    assert "--s-count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- embed -------------------------------------------------------------------------
 
 def test_embed_point_cloud(tmp_path):

@@ -1,13 +1,19 @@
-"""AST scans: every imported name is used, and no private name in src/ is left unread.
+"""AST scans: every imported name is used, no private name in src/ is left
+unread, and no comment or docstring in src/ names a private name that is gone.
 
 The import scan covers src/, scripts/ and tests/.  Package ``__init__.py``
 files are skipped (their imports are re-exports), and so is
 ``from __future__ import ...``.  The private-name scan flags a module-level
 ``_name`` of src/ that no src/ file reads, such as a kernel left behind when
-its callers moved to a shared copy.
+its callers moved to a shared copy.  The prose scan flags a ``_name`` in a
+comment or docstring of src/ that no src/ file defines, such as a helper
+that was deleted while the text describing it stayed.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +92,46 @@ def test_scan_flags_unread_private_names():
 def test_every_private_name_in_src_is_read():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert unread_private_names({str(p.relative_to(ROOT)): p.read_text() for p in files}) == []
+
+
+def prose_private_names(source: str) -> set[str]:
+    """The _names that the comments and docstrings of a source mention."""
+    texts = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    texts += [doc for node in ast.walk(ast.parse(source))
+              if isinstance(node, nodes) and (doc := ast.get_docstring(node))]
+    return {m for text in texts for m in re.findall(r"(?<!\w)_[A-Za-z]\w*", text)}
+
+
+def defined_names(source: str) -> set[str]:
+    """Names a source binds: functions, classes, arguments, imports and assignment targets."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_scan_flags_prose_naming_deleted_names():
+    source = (
+        '"""Wraps _solve; see also _gone."""\n'
+        "def _solve(x_1):\n    # u_x and __init__ are no private names; _stale is\n"
+        "    self._cache = x_1\n    return x_1  # like _cache\n"
+    )
+    assert prose_private_names(source) == {"_solve", "_gone", "_stale", "_cache"}
+    assert prose_private_names(source) - defined_names(source) == {"_gone", "_stale"}
+
+
+def test_prose_in_src_names_only_defined_private_names():
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    defined = set().union(*map(defined_names, sources))
+    assert set().union(*map(prose_private_names, sources)) - defined == set()

@@ -14,7 +14,7 @@ from slfold.errors import (
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
 from slfold.pde import (
     SolverConfig,
-    _block_solve,
+    _hat,
     _levels,
     _pcr_factor,
     _pcr_solve,
@@ -278,7 +278,7 @@ def test_dirichlet_stall_fails_fast():
 
 @pytest.mark.parametrize("nx, ny", [(50, 38), (257, 257)])
 def test_dirichlet_converges_on_uncoarsenable_and_large_grids(nx, ny):
-    # 50x38 has even interior sides, so the whole grid is the exact coarsest level
+    # 50x38 has even interior sides, which coarsen onto non-nested grids
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nx, ny)
     phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y)
     sol = solve_dirichlet(P3, dom, phi)
@@ -290,14 +290,68 @@ def test_dirichlet_converges_on_uncoarsenable_and_large_grids(nx, ny):
 def test_vcycle_contracts_anisotropic_error(scale):
     # both line directions are needed: c << 1 couples along x, c >> 1 along y
     rng = np.random.default_rng(7)
-    coef = scale * rng.uniform(0.5, 2.0, (31, 31))
-    levels = _levels(coef, 2 / 32, 2 / 32)
-    assert [lv.cy.shape for lv in levels] == [(31, 31), (15, 15), (7, 7), (3, 3), (1, 1)]
-    b = rng.standard_normal(coef.shape)
-    exact = _block_solve(levels[0], b)
-    assert np.abs(levels[0].apply(np.pad(exact, 1)) - b).max() <= 1e-9
-    err = np.abs(_vcycle(levels, b) - exact).max() / np.abs(exact).max()
-    assert err <= 0.25
+    hierarchies = {
+        (31, 31): [(31, 31), (15, 15), (7, 7), (3, 3), (1, 1)],
+        (30, 22): [(30, 22), (14, 10), (6, 4), (2, 1)],
+    }
+    for shape, shapes in hierarchies.items():
+        coef = scale * rng.uniform(0.5, 2.0, shape)
+        levels = _levels(coef, 2 / (shape[0] + 1), 2 / (shape[1] + 1))
+        assert [lv.cy.shape for lv in levels] == shapes
+        # the dense 5-point operator, one column per unit vector
+        units = np.eye(coef.size).reshape(coef.size, *shape)
+        dense = np.stack([levels[0].apply(np.pad(u, 1)).ravel() for u in units], axis=1)
+        b = rng.standard_normal(shape)
+        exact = np.linalg.solve(dense, b.ravel()).reshape(shape)
+        err = np.abs(_vcycle(levels, b) - exact).max() / np.abs(exact).max()
+        assert err <= 0.25
+
+
+def test_levels_coarsen_even_sides_to_a_side_of_one():
+    levels = _levels(np.ones((128, 128)), 2 / 129, 2 / 129)
+    assert [lv.cy.shape for lv in levels] == [(m, m) for m in (128, 63, 31, 15, 7, 3, 1)]
+
+
+@pytest.mark.parametrize("mx, my", [(1, 1), (3, 7), (15, 31), (31, 15), (127, 63)])
+def test_hat_transfers_are_full_weighting_and_bilinear_on_nested_grids(mx, my):
+    # bit for bit on small grids; on large ones a BLAS may block or thread
+    # the products and add a row's three nonzero terms in another order
+    def same(a, b):
+        if max(mx, my) <= 31:
+            return np.array_equal(a, b)
+        return np.abs(a - b).max() <= 4 * np.finfo(float).eps * np.abs(b).max()
+
+    def full_weighting(r):
+        t = 0.25 * (r[:-2:2] + 2.0 * r[1::2] + r[2::2])
+        return 0.25 * (t[:, :-2:2] + 2.0 * t[:, 1::2] + t[:, 2::2])
+
+    def bilinear(ec):
+        p = np.pad(ec, 1)
+        t = np.empty((2 * ec.shape[0] + 1, p.shape[1]))
+        t[1::2] = p[1:-1]
+        t[0::2] = 0.5 * (p[:-1] + p[1:])
+        out = np.empty((t.shape[0], 2 * ec.shape[1] + 1))
+        out[:, 1::2] = t[:, 1:-1]
+        out[:, 0::2] = 0.5 * (t[:, :-1] + t[:, 1:])
+        return out
+
+    rng = np.random.default_rng(mx * my)
+    fx, fy = 2 * mx + 1, 2 * my + 1
+    px, py = _hat(fx, mx), _hat(fy, my)
+    r, ec = rng.standard_normal((fx, fy)), rng.standard_normal((mx, my))
+    assert same(0.25 * (px.T @ r @ py), full_weighting(r))
+    assert same(px @ ec @ py.T, bilinear(ec))
+    coef = rng.uniform(0.5, 2.0, (fx, fy))
+    assert np.array_equal(_levels(coef, 0.1, 0.1)[1].cy, coef[1::2, 1::2] / 0.2**2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 30, 64])
+def test_hat_matrix_identity_and_partition_of_unity(m):
+    assert np.array_equal(_hat(m, m), np.eye(m))
+    if m % 2 == 0:
+        mc = max(1, (m - 1) // 2)
+        assert np.abs(_hat(mc, m).sum(axis=1) - 1.0).max() <= 1e-15
+    assert not _hat(m, m).flags.writeable
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 15, 16, 63, 64, 255])
@@ -319,7 +373,7 @@ def test_line_solver_matches_dense_solve(length, lines):
         assert np.abs(x[:, j] - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
-@pytest.mark.parametrize("nodes", [17, 33, 65])
+@pytest.mark.parametrize("nodes", [17, 33, 65, 130])
 def test_dirichlet_cycle_count_is_pinned(nodes):
     # a change of the cycle's algorithm shows up as a count, not only as a time
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nodes, nodes)
