@@ -1,9 +1,9 @@
 """Survey of the gauge-constrained subfamily over a base grid.
 
-For each grid point the pointwise root solve produces (u, v, w); the script
-reports the worst defect of every defining constraint and checks, via the
-implicit partial derivatives, that the subfamily satisfies the reduced
-first-order system.
+One hl_triples call, the array solve that `slfold example hl` runs, produces
+(u, v, w) at every grid point; the script reports the worst defect of every
+defining constraint and checks, via the implicit partial derivatives at each
+solved point, that the subfamily satisfies the reduced first-order system.
 """
 
 import sys
@@ -11,37 +11,32 @@ import sys
 import numpy as np
 
 from slfold.branch import eval_p, eval_p_prime
-from slfold.errors import DegenerateRegionError
-from slfold.families import HLConfig, hl_partials, hl_triple
+from slfold.families import HLConfig, hl_partials, hl_triples
 
 
 def main() -> int:
     cfg = HLConfig.from_head((1.0, 0.5), 0.2)
     xs = np.linspace(-1.4, 1.4, 15)
     ys = np.concatenate([np.linspace(-1.4, -0.2, 7), np.linspace(0.2, 1.4, 7)])
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    cols = hl_triples(cfg, x, y)
+    ok = cols.status == "ok"
+    x, y, u, v, w = (c[ok] for c in (x, y, cols.u, cols.v, cols.w))
 
-    worst = dict(gauge=0.0, phase=0.0, modulus=0.0, curl=0.0, system=0.0)
-    degenerate = 0
-    solved = 0
-    for x in xs:
-        for y in ys:
-            try:
-                t = hl_triple(cfg, float(x), float(y))
-                dx, dy = hl_partials(cfg, float(x), float(y))
-            except DegenerateRegionError:
-                degenerate += 1
-                continue
-            solved += 1
-            pw = eval_p(cfg.params, t.w)
-            pp = eval_p_prime(cfg.params, t.w)
-            worst["gauge"] = max(worst["gauge"], abs(t.w - (x * x + t.u**2 + cfg.b)))
-            worst["phase"] = max(worst["phase"], abs(t.v * t.u + x * y))
-            worst["modulus"] = max(worst["modulus"], abs(pw - (t.v**2 + y * y)))
-            worst["curl"] = max(worst["curl"], abs(dx[0] - dy[1]))
-            worst["system"] = max(worst["system"], abs(dx[1] + pp * dy[0]))
+    pw = eval_p(cfg.params, w)
+    pp = eval_p_prime(cfg.params, w)
+    # d[k, 0] = (u_x, v_x, w_x) and d[k, 1] = (u_y, v_y, w_y) at solved point k
+    d = np.array([hl_partials(cfg, float(xi), float(yi)) for xi, yi in zip(x, y)]).reshape(-1, 2, 3)
+    worst = dict(
+        gauge=np.abs(w - (x * x + u**2 + cfg.b)).max(initial=0.0),
+        phase=np.abs(v * u + x * y).max(initial=0.0),
+        modulus=np.abs(pw - (v**2 + y * y)).max(initial=0.0),
+        curl=np.abs(d[:, 0, 0] - d[:, 1, 1]).max(initial=0.0),
+        system=np.abs(d[:, 0, 1] + pp * d[:, 1, 0]).max(initial=0.0),
+    )
 
     print(f"levels a = {cfg.params.a}, b = {cfg.b}")
-    print(f"solved {solved} points, {degenerate} degenerate")
+    print(f"solved {int(ok.sum())} points, {int((cols.status == 'degenerate').sum())} degenerate")
     print(f"worst |w - x^2 - u^2 - b|    = {worst['gauge']:.3e}")
     print(f"worst |v u + x y|            = {worst['phase']:.3e}")
     print(f"worst |P(w) - v^2 - y^2|     = {worst['modulus']:.3e}")

@@ -45,8 +45,8 @@ from .embedding import (
 )
 from .families import (
     AffineSolution,
+    HLColumns,
     HLConfig,
-    HLTriple,
     affine_fields,
     affine_potential,
     affine_uv,
@@ -54,6 +54,7 @@ from .families import (
     hl_residual,
     hl_solve_alpha,
     hl_triple,
+    hl_triples,
 )
 from .grid import BoundaryData, GridDomain, ScalarField2D
 from .pde import (

@@ -12,7 +12,7 @@ evaluated here, together with the calibrated cross product computed two
 independent ways (cofactor determinants versus closed form) and the
 least-squares decomposition of Wy over {Wphi_i, Wx, cross vector}.
 The kernels work on (N, n, n) frame stacks, and the one-frame functions
-call them with N = 1; verify_fields lifts through embedding.lift_nodes.
+call them with N = 1; verify_fields lifts through embedding.lift_nodes_at.
 """
 
 from __future__ import annotations
@@ -23,16 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
-from .embedding import EmbeddedSample, lift_nodes, unit_power_i
+from .branch import DEGENERACY_FLOOR, ReductionParams, branch_w_array, eval_p_prime, solve_branch
+from .embedding import EmbeddedSample, lift_nodes_at, unit_power_i
 from .errors import (
     DegenerateBranchError,
     RankDeficientError,
     SingularPointError,
     ZeroRadiusError,
 )
-from .grid import ScalarField2D
-from .pde import central_differences, residual_first_order
+from .grid import ScalarField2D, require_same_domain
+from .pde import central_differences
 
 # Radii at or below this are treated as vanishing; frame formulas divide by them.
 ZERO_RADIUS_FLOOR = 1e-14
@@ -415,7 +415,8 @@ def verify_fields(
 
     The interior nodes are taken with one stride in both directions, the
     smallest that selects at most about max_frames of them, i outer and j
-    inner.  Partials are pde.central_differences and the lift embedding.lift_nodes.
+    inner.  Partials are pde.central_differences, and one branch_w_array over the
+    interior gives both the first-order residual's P'(w) and the lift (lift_nodes_at).
     Each selected node is skipped for the first SKIP_REASONS check it fails, in
     the order of the one-frame path (lift_point, tangent_frame,
     decomposition_check); the others are checked FRAME_BLOCK frames at a time.
@@ -423,17 +424,20 @@ def verify_fields(
     if max_frames < 1:
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     n = params.n
-    r1, r2 = residual_first_order(params, u, v)
-    first_order = float(max(np.abs(r1.values).max(), np.abs(r2.values).max()))
+    dom = require_same_domain(u, v)
+    (u_x, u_y), (v_x, v_y) = (central_differences(f.values, dom.hx, dom.hy) for f in (u, v))
+    # one branch inversion of the interior serves the first-order residual and the lift
+    w_in = branch_w_array(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
+    coef = eval_p_prime(params, w_in)
+    first_order = float(max(np.abs(d).max(initial=0.0) for d in (u_x - v_y, v_x + coef * u_y)))
 
-    dom = u.domain
     stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames))))
     ii, jj = (g.ravel() for g in np.meshgrid(
-        np.arange(1, dom.nx - 1, stride), np.arange(1, dom.ny - 1, stride), indexing="ij"))
-    partials = [d[ii - 1, jj - 1] for f in (u, v) for d in central_differences(f.values, dom.hx, dom.hy)]
-    x, y, vv = dom.xs()[ii], dom.ys()[jj], v.values[ii, jj]
-    theta, w, radicand, collapsed = lift_nodes(params, vv, y)
-    p_prime = eval_p_prime(params, w)
+        np.arange(0, dom.nx - 2, stride), np.arange(0, dom.ny - 2, stride), indexing="ij"))
+    partials = [d[ii, jj] for d in (u_x, u_y, v_x, v_y)]
+    x, y, vv = dom.xs()[ii + 1], dom.ys()[jj + 1], v.values[ii + 1, jj + 1]
+    theta, w, radicand, collapsed = lift_nodes_at(params, vv, y, w_in[ii, jj])
+    p_prime = coef[ii, jj]
 
     # an index into SKIP_REASONS, or -1 for a frame to check
     reason = np.select(

@@ -19,13 +19,11 @@ from .embedding import sample_fields
 from .errors import (
     ConfigError,
     DegeneracyEncounteredError,
-    DegenerateRegionError,
     NoConvergenceError,
     SingularParametersError,
     SlfoldError,
-    YZeroError,
 )
-from .families import HLConfig, hl_triple, joyce_check
+from .families import HLConfig, hl_triples, joyce_check
 from .fieldio import (
     fmt,
     parse_projection,
@@ -235,19 +233,11 @@ def cmd_example(args) -> int:
             raise ConfigError("hl convention: the last level must be exactly 0")
         cfg = HLConfig.from_head(levels[:-1], args.b)
         dom = _parse_domain(args.domain, args.nx, args.ny)
-        rows = []
-        for x in dom.xs():
-            for y in dom.ys():
-                try:
-                    t = hl_triple(cfg, float(x), float(y))
-                    rows.append((x, y, t.u, t.v, t.w, t.alpha, "ok"))
-                except YZeroError:
-                    rows.append((x, y, 0.0, 0.0, 0.0, 0.0, "skipped_y0"))
-                except DegenerateRegionError:
-                    rows.append((x, y, 0.0, 0.0, 0.0, 0.0, "degenerate"))
+        x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+        rows = zip(*(c.ravel().tolist() for c in (x, y, *hl_triples(cfg, x, y))))
         out = args.out or "hl.csv"
         write_rows_csv(("x", "y", "u", "v", "w", "alpha", "status"), rows, out)
-        print(f"wrote {len(rows)} rows to {out}")
+        print(f"wrote {x.size} rows to {out}")
         return 0
 
     # joyce

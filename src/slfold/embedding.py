@@ -6,8 +6,9 @@ distinguished branch and the angle sum Theta = t_1 + ... + t_{n-1} is pinned
 by i^{n-3} z_1 ... z_{n-1} = v + iy.  Individual angles are gauge; the torus
 action moves them freely at fixed Theta.
 
-lift_nodes lifts arrays of nodes for sample_fields and calibration.verify_fields;
-lift_point, on one point with the scalar branch solver, is its reference.
+lift_nodes lifts arrays of nodes for sample_fields, and lift_nodes_at does so
+from known branch roots for calibration.verify_fields; lift_point, on one point
+with the scalar branch solver, is their reference.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ def lift_nodes(params: ReductionParams, v: np.ndarray, y: np.ndarray) -> tuple[n
 
     Theta is 0 on collapsed nodes and w comes from branch_w_array; no node is skipped.
     """
+    return lift_nodes_at(params, v, y, branch_w_array(params, v * v + y * y))
+
+
+def lift_nodes_at(
+    params: ReductionParams, v: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """lift_nodes at nodes whose branch roots w = w(v^2 + y^2) are already known."""
     base = np.empty(len(v), dtype=complex)
     base.real, base.imag = v, y  # as complex(v, y); v + 1j*y can flip the sign of a zero
     rotated = unit_power_i(3 - params.n) * base
@@ -108,7 +116,6 @@ def lift_nodes(params: ReductionParams, v: np.ndarray, y: np.ndarray) -> tuple[n
     theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
     collapsed = (v == 0.0) & (y == 0.0)
     theta[collapsed] = 0.0  # product of the z_j vanishes; the phase is immaterial
-    w = branch_w_array(params, v * v + y * y)
     radicand = w[:, None] + np.array(params.a)
     radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
     return theta, w, radicand, collapsed

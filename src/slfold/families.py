@@ -1,11 +1,10 @@
-"""Explicit solution families: affine pairs, the Harvey-Lawson-type
-subfamily cut out by algebraic gauge constraints, and the closed-form
-coefficient of the classical three-dimensional reduction.
+"""Explicit solution families: affine pairs, the Harvey-Lawson-type subfamily
+cut out by algebraic gauge constraints (hl_triples solves it on arrays of base
+points), and the closed-form coefficient of the classical 3-dimensional reduction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -13,19 +12,20 @@ import numpy as np
 
 from .branch import (
     ReductionParams,
+    branch_w_array,
     ellipticity_array,
     eval_p,
     eval_p_prime,
     params_from_levels,
-    solve_branch,
 )
 from .errors import DegenerateRegionError, NoConvergenceError, NonpositiveAlphaError, YZeroError
 from .grid import GridDomain, ScalarField2D
 
-# Step budgets of hl_solve_alpha: doublings (halvings) of the bracket ends,
-# and safeguarded Newton steps of the polish.
+# Step budgets of the HL root search: doublings (halvings) of the bracket
+# ends, and safeguarded Newton steps of the polish.
 _BRACKET_STEPS = 600
 _POLISH_STEPS = 200
+HL_STATUS = ("ok", "skipped_y0", "degenerate")
 
 
 @dataclass(frozen=True)
@@ -68,126 +68,134 @@ class HLConfig:
         return cls(params_from_levels(tuple(float(v) for v in a_head) + (0.0,)), float(b))
 
 
-@dataclass(frozen=True)
-class HLTriple:
-    """Solved invariant data at one base point of the subfamily."""
+class HLColumns(NamedTuple):
+    """Solved invariant data of the subfamily: arrays from hl_triples, floats from hl_triple."""
 
-    x: float
-    y: float
-    u: float
-    v: float
-    w: float
-    alpha: float
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    alpha: np.ndarray
+    status: np.ndarray  # HL_STATUS names: "ok", "skipped_y0" (y = 0) or "degenerate"
 
 
-def hl_residual(cfg: HLConfig, x: float, y: float, alpha: float) -> float:
-    """y^2 (1 + x^2/alpha) - P(x^2 + alpha + b), the scalar root equation."""
-    if alpha <= 0.0:
-        raise NonpositiveAlphaError(f"alpha must be > 0, got {alpha}")
+def hl_residual(cfg: HLConfig, x, y, alpha):
+    """y^2 (1 + x^2/alpha) - P(x^2 + alpha + b), the root equation; elementwise on arrays."""
+    if np.any(np.asarray(alpha) <= 0.0):
+        raise NonpositiveAlphaError(f"alpha must be > 0, got {np.min(alpha)}")
     return y * y * (1.0 + x * x / alpha) - eval_p(cfg.params, x * x + alpha + cfg.b)
-
-
-def _hl_tol(cfg: HLConfig, x: float, y: float, alpha: float) -> float:
-    return 1e-10 * (1.0 + y * y + abs(eval_p(cfg.params, x * x + alpha + cfg.b)))
 
 
 def _scan_sign_changes(cfg: HLConfig, x: float, y: float, lo: float, hi: float) -> list[tuple[float, float]]:
     grid = np.geomspace(lo, hi, 128)
-    vals = [hl_residual(cfg, x, y, float(t)) for t in grid]
-    out = []
-    for k in range(len(grid) - 1):
-        if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
-            out.append((float(grid[k]), float(grid[k + 1])))
-    return out
+    vals = hl_residual(cfg, x, y, grid)
+    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    return [(float(grid[i]), float(grid[i + 1])) for i in k]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
+    """hl_triples, and the bracket ends (lo, hi), flat, that degenerate nodes with x != 0 keep.
+
+    Each node takes the steps of a one-point search, as numpy ops over the nodes still searching.
+    """
+    p, b = cfg.params, cfg.b
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape, x, y = x.shape, x.ravel(), y.ravel()
+    alpha, lo, hi = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    status = np.where(y == 0.0, 1, 0)
+    # the 1/alpha term drops at x = 0: y^2 = P(alpha + b) on the distinguished branch
+    k = np.flatnonzero((x == 0.0) & (y != 0.0))
+    alpha[k] = branch_w_array(p, y[k] * y[k]) - b
+    status[k[(alpha[k] <= 0.0) | (eval_p_prime(p, x[k] * x[k] + alpha[k] + b) <= 0.0)]] = 2
+
+    def residual(x, y, a):
+        return np.broadcast_to(hl_residual(cfg, x, y, a), a.shape)  # also when it is a scalar
+    def slope(x, y, a):
+        return -y * y * x * x / a**2 - eval_p_prime(p, x * x + a + b)
+    def bracket(end, factor, wrong_sign):
+        todo = np.arange(len(end))
+        for _ in range(_BRACKET_STEPS):
+            r = residual(xk[todo], yk[todo], end[todo])
+            todo = todo[wrong_sign(r)]
+            if not len(todo):
+                return end
+            end[todo] *= factor
+        raise NoConvergenceError(_BRACKET_STEPS, float(r[wrong_sign(r)][0]))
+
+    # the residual blows up to +oo as alpha -> 0+ (x != 0) and falls to -oo as alpha -> oo
+    k = np.flatnonzero((x != 0.0) & (y != 0.0))
+    xk, yk = x[k], y[k]
+    hi[k] = top = bracket(np.ones(len(k)), 2.0, lambda r: ~(r < 0.0))
+    bottom = np.minimum(1.0, yk * yk * xk * xk / (1.0 + np.abs(eval_p(p, xk * xk + 1.0 + b))))
+    lo[k] = bottom = bracket(bottom, 0.5, lambda r: ~(r > 0.0))
+
+    # uniqueness: P' > 0 and a falling residual at np.geomspace(bottom, top, 20), probe by probe
+    log_lo = np.log10(bottom)
+    step = (np.log10(top) - log_lo) / 19
+    unique = np.ones(len(k), dtype=bool)
+    for j in range(20):
+        t = bottom if j == 0 else top if j == 19 else np.power(10.0, j * step + log_lo)
+        r = residual(xk, yk, t)
+        unique &= (eval_p_prime(p, xk * xk + t + b) > 0.0) & (j == 0 or last > r)
+        last = r
+    status[k[~unique]] = 2
+
+    # Newton, bisecting when a step leaves [lo, hi], until |r| <= 1e-10 (1 + y^2 + |P|)
+    certified = k = k[unique]
+    a = 0.5 * (lo[k] + hi[k])
+    for _ in range(_POLISH_STEPS):
+        xs, ys = x[k], y[k]
+        r = residual(xs, ys, a)
+        lo[k], hi[k], alpha[k] = np.where(r > 0.0, a, lo[k]), np.where(r < 0.0, a, hi[k]), a
+        live = ~(np.abs(r) <= 1e-10 * (1.0 + ys * ys + np.abs(eval_p(p, xs * xs + a + b))))
+        k, a, r = k[live], a[live], r[live]
+        if not len(k):
+            break
+        s = slope(x[k], y[k], a)
+        cand = np.where(s < 0.0, a - r / s, lo[k])
+        a = np.where((lo[k] < cand) & (cand < hi[k]), cand, 0.5 * (lo[k] + hi[k]))
+    else:
+        raise NoConvergenceError(_POLISH_STEPS, float(r[0]))
+    k = certified
+    for _ in range(3):  # a few extra Newton steps push |r| to the rounding floor
+        cand = alpha[k] - residual(x[k], y[k], alpha[k]) / slope(x[k], y[k], alpha[k])
+        alpha[k] = np.where((lo[k] < cand) & (cand < hi[k]), cand, alpha[k])
+    ok = status == 0
+    # the sign of u is forced by v x - u y = -y (x^2 + u^2)/u > 0
+    u = np.where(ok, -np.copysign(np.sqrt(alpha), y), 0.0)
+    v = np.where(ok, -x * y / u, 0.0)
+    w = np.where(ok, x * x + u * u + b, 0.0)
+    columns = (u, v, w, np.where(ok, alpha, 0.0), np.array(HL_STATUS, dtype=object)[status])
+    return HLColumns(*(c.reshape(shape) for c in columns)), lo, hi
+
+
+def hl_triples(cfg: HLConfig, x, y) -> HLColumns:
+    """(u, v, w, alpha, status) at the broadcast base points (x, y), in one array solve.
+
+    alpha > 0 is the root of hl_residual, u = -sign(y) sqrt(alpha), v = -xy/u and
+    w = x^2 + u^2 + b.  They are 0 where y = 0 ("skipped_y0") and where P' <= 0
+    on the root's bracket may make it not unique ("degenerate").
+    """
+    return _hl_solve(cfg, x, y)[0]
 
 
 def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
-    """Root alpha > 0 of the constraint equation at a base point with y != 0.
+    """Root alpha > 0 of the constraint equation at one base point; hl_triple(...).alpha."""
+    return hl_triple(cfg, x, y).alpha
 
-    The bracket realises the intermediate-value argument constructively:
-    the residual blows up to +oo as alpha -> 0+ (for x != 0) and falls to
-    -oo as alpha -> oo.  Uniqueness needs P' > 0 across the bracket, which
-    is probed before the safeguarded Newton polish; a nonpositive P' inside
-    the bracket raises DegenerateRegionError carrying all observed sign
-    changes instead of silently returning one of several roots.  A bracket
-    end or a polish that runs out of steps raises NoConvergenceError.
+
+def hl_triple(cfg: HLConfig, x: float, y: float) -> HLColumns:
+    """hl_triples at one point as floats; YZeroError or DegenerateRegionError by status.
+
+    The latter carries the sign changes of the residual on the root's bracket.
     """
-    if y == 0.0:
+    cols, lo, hi = _hl_solve(cfg, x, y)
+    if cols.status == "skipped_y0":
         raise YZeroError("the constraint solve requires y != 0")
-    p = cfg.params
-
-    if x == 0.0:
-        # 1/alpha term drops: y^2 = P(alpha + b) on the distinguished branch
-        w = solve_branch(p, y * y).w
-        alpha = w - cfg.b
-        if alpha <= 0.0:
-            raise DegenerateRegionError(
-                f"branch root w = {w} gives alpha = {alpha} <= 0 at x = 0"
-            )
-        if eval_p_prime(p, x * x + alpha + cfg.b) <= 0.0:
-            raise DegenerateRegionError("P' <= 0 at the x = 0 reduction root")
-        return alpha
-
-    hi = 1.0
-    for _ in range(_BRACKET_STEPS):
-        r = hl_residual(cfg, x, y, hi)
-        if r < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoConvergenceError(_BRACKET_STEPS, r)
-    lo = min(1.0, y * y * x * x / (1.0 + abs(eval_p(p, x * x + 1.0 + cfg.b))))
-    for _ in range(_BRACKET_STEPS):
-        r = hl_residual(cfg, x, y, lo)
-        if r > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NoConvergenceError(_BRACKET_STEPS, r)
-
-    # uniqueness certificate: P' > 0 and strict decrease at 20 probes
-    probes = np.geomspace(lo, hi, 20)
-    slopes_ok = all(eval_p_prime(p, x * x + float(t) + cfg.b) > 0.0 for t in probes)
-    vals = [hl_residual(cfg, x, y, float(t)) for t in probes]
-    decreasing = all(vals[k] > vals[k + 1] for k in range(len(vals) - 1))
-    if not (slopes_ok and decreasing):
-        raise DegenerateRegionError(
-            "P' <= 0 inside the bracket; root may not be unique",
-            sign_changes=_scan_sign_changes(cfg, x, y, lo, hi),
-        )
-
-    alpha = 0.5 * (lo + hi)
-    for _ in range(_POLISH_STEPS):
-        r = hl_residual(cfg, x, y, alpha)
-        if r > 0.0:
-            lo = alpha
-        elif r < 0.0:
-            hi = alpha
-        if abs(r) <= _hl_tol(cfg, x, y, alpha):
-            # a few extra Newton polishes push |r| to the rounding floor
-            for _ in range(3):
-                slope = -y * y * x * x / alpha**2 - eval_p_prime(p, x * x + alpha + cfg.b)
-                step = hl_residual(cfg, x, y, alpha) / slope
-                cand = alpha - step
-                if lo < cand < hi:
-                    alpha = cand
-            return alpha
-        slope = -y * y * x * x / alpha**2 - eval_p_prime(p, x * x + alpha + cfg.b)
-        cand = alpha - r / slope if slope < 0.0 else lo
-        alpha = cand if lo < cand < hi else 0.5 * (lo + hi)
-    raise NoConvergenceError(_POLISH_STEPS, r)
-
-
-def hl_triple(cfg: HLConfig, x: float, y: float) -> HLTriple:
-    """Invariant data (u, v, w) at (x, y): u = -sign(y) sqrt(alpha), v = -xy/u.
-
-    The sign of u is forced by v x - u y = -y (x^2 + u^2)/u > 0.
-    """
-    alpha = hl_solve_alpha(cfg, x, y)
-    u = -math.copysign(math.sqrt(alpha), y)
-    v = -x * y / u
-    w = x * x + u * u + cfg.b
-    return HLTriple(x=x, y=y, u=u, v=v, w=w, alpha=alpha)
+    if cols.status == "degenerate":
+        changes = _scan_sign_changes(cfg, x, y, lo[0], hi[0]) if x != 0.0 else None
+        raise DegenerateRegionError(f"no certified unique root alpha > 0 at ({x}, {y})", changes)
+    return HLColumns(*(c.item() for c in cols))
 
 
 def hl_partials(cfg: HLConfig, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +208,8 @@ def hl_partials(cfg: HLConfig, x: float, y: float) -> tuple[np.ndarray, np.ndarr
     t = hl_triple(cfg, x, y)
     pp = eval_p_prime(cfg.params, t.w)
     # unknowns ordered (u_., v_., w_.)
-    m = np.array(
-        [
-            [-2.0 * t.u, 0.0, 1.0],
-            [t.v, t.u, 0.0],
-            [0.0, -2.0 * t.v, pp],
-        ]
-    )
-    rhs_x = np.array([2.0 * x, -y, 0.0])
-    rhs_y = np.array([0.0, -x, 2.0 * y])
-    return np.linalg.solve(m, rhs_x), np.linalg.solve(m, rhs_y)
+    m = np.array([[-2.0 * t.u, 0.0, 1.0], [t.v, t.u, 0.0], [0.0, -2.0 * t.v, pp]])
+    return np.linalg.solve(m, [2.0 * x, -y, 0.0]), np.linalg.solve(m, [0.0, -x, 2.0 * y])
 
 
 class JoyceCheck(NamedTuple):

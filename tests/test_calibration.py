@@ -629,3 +629,20 @@ def test_verify_matches_frame_by_frame_reference(case, max_frames):
         for key in ("omega", "im_omega", "fit_residual"):
             assert abs(got[key] - ref[key]) <= 1e-13
         assert abs(got["gamma"] - ref["gamma"]) <= 1e-12 * max(1.0, abs(ref["gamma"]))
+
+
+@pytest.mark.parametrize("max_frames", [1, 12, 10_000])
+def test_verify_first_order_residual_is_residual_first_order(max_frames):
+    # verify_fields inverts the branch once for its residual and its frames;
+    # its residual must still be residual_first_order's, bit for bit
+    from slfold.pde import residual_first_order
+
+    params = params_from_levels((1.0, 0.25, -1.0))
+    dom = GridDomain(-1.0, 1.0, -0.8, 1.2, 13, 10)
+    xs, ys = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+    u = ScalarField2D(dom, np.sin(1.3 * xs) * ys + 0.1)
+    v = ScalarField2D(dom, np.cos(0.7 * ys) * xs - 0.3)
+    r1, r2 = residual_first_order(params, u, v)
+    report = verify_fields(params, u, v, max_frames)
+    assert report.max_first_order_residual == max(np.abs(r1.values).max(), np.abs(r2.values).max())
+    assert report.max_first_order_residual > 0.1

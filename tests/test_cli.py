@@ -338,6 +338,37 @@ def test_example_hl_flags_y_zero_rows(tmp_path):
     assert "skipped_y0" in statuses and "ok" in statuses
 
 
+def test_example_hl_rows_are_hl_triple_x_outer(tmp_path):
+    out = tmp_path / "hl.csv"
+    assert main(["example", "hl", "--a", "1,0.5,0", "--b", "0.2", "--domain=-0.9,1.1,-0.4,1.4",
+                 "--nx", "3", "--ny", "4", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    cfg = families.HLConfig.from_head((1.0, 0.5), 0.2)
+    dom = GridDomain(-0.9, 1.1, -0.4, 1.4, 3, 4)
+    nodes = [(x, y) for x in dom.xs().tolist() for y in dom.ys().tolist()]
+    assert [(float(r[0]), float(r[1])) for r in rows] == nodes
+    for row, (x, y) in zip(rows, nodes):
+        assert row[-1] == "ok"
+        t = families.hl_triple(cfg, x, y)
+        assert [float(c) for c in row[2:6]] == [t.u, t.v, t.w, t.alpha]
+
+
+def test_example_hl_writes_degenerate_rows(tmp_path):
+    # head level -4: P' <= 0 on part of the root's bracket at |x| = 0.75
+    out = tmp_path / "hl.csv"
+    code = main([
+        "example", "hl", "--a=-4,0", "--b", "0",
+        "--domain=-1.5,1.5,-1.5,1.5", "--nx", "5", "--ny", "4", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 20
+    degenerate = [row for row in rows if row[-1] == "degenerate"]
+    assert {row[-1] for row in rows} == {"ok", "degenerate"}
+    assert {abs(float(row[0])) for row in degenerate} == {0.75}
+    assert all(row[2:6] == ["0", "0", "0", "0"] for row in degenerate)
+
+
 def test_example_hl_root_search_out_of_steps_exit2(tmp_path, monkeypatch, capsys):
     # a residual with no sign change: the bracket search runs out of doublings
     monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: 1.0)

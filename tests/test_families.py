@@ -24,6 +24,7 @@ from slfold.families import (
     hl_residual,
     hl_solve_alpha,
     hl_triple,
+    hl_triples,
     joyce_check,
 )
 from slfold.grid import GridDomain
@@ -135,7 +136,7 @@ def test_hl_degenerate_region_reported():
     [
         lambda alpha: 1.0,  # no hi with r < 0
         lambda alpha: -1.0,  # no lo with r > 0
-        lambda alpha: 0.3 - alpha + math.copysign(1e-3, 0.3 - alpha),  # jumps over 0
+        lambda alpha: 0.3 - alpha + np.copysign(1e-3, 0.3 - alpha),  # jumps over 0
     ],
     ids=["hi-bracket", "lo-bracket", "polish"],
 )
@@ -143,6 +144,200 @@ def test_hl_solve_alpha_budget_exhaustion_raises(monkeypatch, residual):
     monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: residual(alpha))
     with pytest.raises(NoConvergenceError):
         hl_solve_alpha(CFG, 1.0, 1.0)
+
+
+# The scalar root search that hl_triples replaced, kept as its reference.
+
+def _reference_residual(cfg, x, y, alpha):
+    if alpha <= 0.0:
+        raise NonpositiveAlphaError(f"alpha must be > 0, got {alpha}")
+    return y * y * (1.0 + x * x / alpha) - eval_p(cfg.params, x * x + alpha + cfg.b)
+
+
+def _reference_scan_sign_changes(cfg, x, y, lo, hi):
+    grid = np.geomspace(lo, hi, 128)
+    vals = [_reference_residual(cfg, x, y, float(t)) for t in grid]
+    out = []
+    for k in range(len(grid) - 1):
+        if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
+            out.append((float(grid[k]), float(grid[k + 1])))
+    return out
+
+
+def _reference_hl_solve_alpha(cfg, x, y):
+    if y == 0.0:
+        raise YZeroError("the constraint solve requires y != 0")
+    p = cfg.params
+
+    if x == 0.0:
+        # 1/alpha term drops: y^2 = P(alpha + b) on the distinguished branch
+        w = solve_branch(p, y * y).w
+        alpha = w - cfg.b
+        if alpha <= 0.0:
+            raise DegenerateRegionError(
+                f"branch root w = {w} gives alpha = {alpha} <= 0 at x = 0"
+            )
+        if eval_p_prime(p, x * x + alpha + cfg.b) <= 0.0:
+            raise DegenerateRegionError("P' <= 0 at the x = 0 reduction root")
+        return alpha
+
+    hi = 1.0
+    for _ in range(600):
+        r = _reference_residual(cfg, x, y, hi)
+        if r < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NoConvergenceError(600, r)
+    lo = min(1.0, y * y * x * x / (1.0 + abs(eval_p(p, x * x + 1.0 + cfg.b))))
+    for _ in range(600):
+        r = _reference_residual(cfg, x, y, lo)
+        if r > 0.0:
+            break
+        lo *= 0.5
+    else:
+        raise NoConvergenceError(600, r)
+
+    # uniqueness certificate: P' > 0 and strict decrease at 20 probes
+    probes = np.geomspace(lo, hi, 20)
+    slopes_ok = all(eval_p_prime(p, x * x + float(t) + cfg.b) > 0.0 for t in probes)
+    vals = [_reference_residual(cfg, x, y, float(t)) for t in probes]
+    decreasing = all(vals[k] > vals[k + 1] for k in range(len(vals) - 1))
+    if not (slopes_ok and decreasing):
+        raise DegenerateRegionError(
+            "P' <= 0 inside the bracket; root may not be unique",
+            sign_changes=_reference_scan_sign_changes(cfg, x, y, lo, hi),
+        )
+
+    alpha = 0.5 * (lo + hi)
+    for _ in range(200):
+        r = _reference_residual(cfg, x, y, alpha)
+        if r > 0.0:
+            lo = alpha
+        elif r < 0.0:
+            hi = alpha
+        if abs(r) <= 1e-10 * (1.0 + y * y + abs(eval_p(p, x * x + alpha + cfg.b))):
+            # a few extra Newton polishes push |r| to the rounding floor
+            for _ in range(3):
+                slope = -y * y * x * x / alpha**2 - eval_p_prime(p, x * x + alpha + cfg.b)
+                step = _reference_residual(cfg, x, y, alpha) / slope
+                cand = alpha - step
+                if lo < cand < hi:
+                    alpha = cand
+            return alpha
+        slope = -y * y * x * x / alpha**2 - eval_p_prime(p, x * x + alpha + cfg.b)
+        cand = alpha - r / slope if slope < 0.0 else lo
+        alpha = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise NoConvergenceError(200, r)
+
+
+def _reference_row(cfg, x, y):
+    """(u, v, w, alpha, status, sign_changes) as the scalar search and hl_triple gave them."""
+    try:
+        alpha = _reference_hl_solve_alpha(cfg, x, y)
+    except YZeroError:
+        return 0.0, 0.0, 0.0, 0.0, "skipped_y0", None
+    except DegenerateRegionError as exc:
+        return 0.0, 0.0, 0.0, 0.0, "degenerate", exc.sign_changes
+    u = -math.copysign(math.sqrt(alpha), y)
+    v = -x * y / u
+    return u, v, x * x + u * u + cfg.b, alpha, "ok", None
+
+
+def test_hl_triples_equal_the_scalar_search(rng):
+    # Head level -4 gives degenerate nodes; the grids hold x = 0 and y = 0.
+    # At x = 0 hl_triples inverts the branch with branch_w_array where the
+    # scalar search used solve_branch.  Over these cases the two roots, and
+    # so alpha, differ by at most X_AXIS_ULPS units in the last place: 0.
+    X_AXIS_ULPS = 0
+    counts = {"ok": 0, "skipped_y0": 0, "degenerate": 0, "ok at x = 0": 0}
+    axis_ulps = 0.0
+    for trial in range(24):
+        n = int(rng.integers(3, 6))
+        head = rng.uniform(0.1, 2.5, n - 2)
+        if trial % 3 == 0:
+            head[0] = -4.0
+        cfg = HLConfig.from_head(tuple(head), float(rng.uniform(-0.3, 0.8)))
+        xs = np.concatenate([np.linspace(-1.5, 1.5, 7), rng.uniform(-1.5, 1.5, 3)])
+        ys = np.concatenate([np.linspace(-1.5, 1.5, 5), rng.uniform(-1.5, 1.5, 3)])
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        cols = hl_triples(cfg, x, y)
+        for i, j in np.ndindex(x.shape):
+            xi, yi = float(x[i, j]), float(y[i, j])
+            *want, status, sign_changes = _reference_row(cfg, xi, yi)
+            got = [float(c[i, j]) for c in cols[:4]]
+            assert cols.status[i, j] == status, (cfg, xi, yi)
+            counts[status] += 1
+            if status == "ok" and xi == 0.0:
+                counts["ok at x = 0"] += 1
+                axis_ulps = max(axis_ulps, abs(got[3] - want[3]) / np.spacing(want[3]))
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert got == want, (cfg, xi, yi)  # bit for bit
+            if sign_changes and (i + j) % 4 == 0:
+                with pytest.raises(DegenerateRegionError) as exc:
+                    hl_triple(cfg, xi, yi)
+                assert exc.value.sign_changes == sign_changes
+    assert min(counts.values()) >= 40, counts
+    assert axis_ulps <= X_AXIS_ULPS
+
+
+def test_hl_triples_broadcast_and_point_wrappers():
+    cols = hl_triples(CFG, [[0.5], [1.0]], [0.7, 0.0, -1.2])
+    assert all(c.shape == (2, 3) for c in cols)
+    assert cols.status.tolist() == [["ok", "skipped_y0", "ok"]] * 2
+    t = hl_triple(CFG, 1.0, -1.2)
+    assert t == (cols.u[1, 2], cols.v[1, 2], cols.w[1, 2], cols.alpha[1, 2], "ok")
+    assert hl_solve_alpha(CFG, 1.0, -1.2) == t.alpha
+
+
+def test_hl_residual_is_elementwise():
+    alpha = np.array([0.2, 1.0])
+    expected = [hl_residual(CFG, 1.0, 1.0, float(a)) for a in alpha]
+    assert hl_residual(CFG, 1.0, 1.0, alpha).tolist() == expected
+    with pytest.raises(NonpositiveAlphaError):
+        hl_residual(CFG, 1.0, 1.0, np.array([0.5, 0.0]))
+
+
+@st.composite
+def _hl_grids(draw):
+    """A level head, b and a node grid as `slfold example hl` takes them.
+
+    Bounds below 1e-60 in size (other than 0) are left out: where x^2 y^2
+    underflows to 0 the search cannot start its lower bracket and raises
+    NonpositiveAlphaError, as the scalar search did (CHANGES.md, FOUND).
+    """
+    n = draw(st.integers(3, 5))
+    head = draw(st.lists(st.floats(-5.0, 5.0), min_size=n - 2, max_size=n - 2))
+    b = draw(st.floats(-1.0, 1.0))
+    bound = st.floats(-2.0, 2.0).filter(lambda t: t == 0.0 or abs(t) > 1e-60)
+    x0, y0 = draw(bound), draw(bound)
+    wx, wy = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+    nx, ny = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    symmetric = draw(st.booleans())  # odd counts on [-c, c] put nodes at x = 0 and y = 0
+    if symmetric:
+        x0, y0, nx, ny = -wx / 2, -wy / 2, 2 * (nx // 2) + 1, 2 * (ny // 2) + 1
+    dom = GridDomain(x0, x0 + wx, y0, y0 + wy, nx, ny)
+    return HLConfig.from_head(tuple(head), b), dom
+
+
+@given(_hl_grids())
+@settings(max_examples=100, deadline=None)
+def test_hl_triples_rows_meet_the_constraints(case):
+    cfg, dom = case
+    x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+    u, v, w, alpha, status = hl_triples(cfg, x, y)
+    assert set(status.ravel()) <= {"ok", "skipped_y0", "degenerate"}
+    assert np.array_equal(status == "skipped_y0", y == 0.0)
+    ok = status == "ok"
+    assert np.all(np.stack([u, v, w, alpha])[:, ~ok] == 0.0)
+    x, y, u, v, w, alpha = (c[ok] for c in (x, y, u, v, w, alpha))
+    pw = eval_p(cfg.params, w)
+    assert np.all(alpha > 0.0) and np.all(np.isfinite(np.stack([u, v, w])))
+    assert np.all(np.abs(w - (x * x + u * u + cfg.b)) <= 1e-10 * (1 + np.abs(w)))
+    assert np.all(np.abs(v * u + x * y) <= 1e-10 * (1 + np.abs(x * y)))
+    assert np.all(np.abs(pw - (v * v + y * y)) <= 1e-9 * (1 + y * y + np.abs(pw)))
+    assert np.all(v * x - u * y > 0.0)
 
 
 def test_hl_triple_sign_laws():
