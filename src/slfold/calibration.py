@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, branch_w_array, eval_p_prime, solve_branch
+from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
 from .embedding import EmbeddedSample, lift_nodes_at, unit_power_i
 from .errors import (
     DegenerateBranchError,
@@ -31,8 +31,8 @@ from .errors import (
     SingularPointError,
     ZeroRadiusError,
 )
-from .grid import ScalarField2D, require_same_domain
-from .pde import central_differences
+from .grid import ScalarField2D
+from .pde import _first_order_interior
 
 # Radii at or below this are treated as vanishing; frame formulas divide by them.
 ZERO_RADIUS_FLOOR = 1e-14
@@ -415,8 +415,8 @@ def verify_fields(
 
     The interior nodes are taken with one stride in both directions, the
     smallest that selects at most about max_frames of them, i outer and j
-    inner.  Partials are pde.central_differences, and one branch_w_array over the
-    interior gives both the first-order residual's P'(w) and the lift (lift_nodes_at).
+    inner.  The partials, the branch roots w and P'(w) come from the interior pass
+    of pde.residual_first_order, which the lift reuses (lift_nodes_at).
     Each selected node is skipped for the first SKIP_REASONS check it fails, in
     the order of the one-frame path (lift_point, tangent_frame,
     decomposition_check); the others are checked FRAME_BLOCK frames at a time.
@@ -424,20 +424,18 @@ def verify_fields(
     if max_frames < 1:
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     n = params.n
-    dom = require_same_domain(u, v)
-    (u_x, u_y), (v_x, v_y) = (central_differences(f.values, dom.hx, dom.hy) for f in (u, v))
     # one branch inversion of the interior serves the first-order residual and the lift
-    w_in = branch_w_array(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
-    coef = eval_p_prime(params, w_in)
-    first_order = float(max(np.abs(d).max(initial=0.0) for d in (u_x - v_y, v_x + coef * u_y)))
+    residuals, interior_partials, w_in, p_prime_in = _first_order_interior(params, u, v)
+    first_order = float(max(np.abs(r).max(initial=0.0) for r in residuals))
 
+    dom = u.domain
     stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames))))
     ii, jj = (g.ravel() for g in np.meshgrid(
         np.arange(0, dom.nx - 2, stride), np.arange(0, dom.ny - 2, stride), indexing="ij"))
-    partials = [d[ii, jj] for d in (u_x, u_y, v_x, v_y)]
+    partials = [d[ii, jj] for d in interior_partials]
     x, y, vv = dom.xs()[ii + 1], dom.ys()[jj + 1], v.values[ii + 1, jj + 1]
     theta, w, radicand, collapsed = lift_nodes_at(params, vv, y, w_in[ii, jj])
-    p_prime = coef[ii, jj]
+    p_prime = p_prime_in[ii, jj]
 
     # an index into SKIP_REASONS, or -1 for a frame to check
     reason = np.select(

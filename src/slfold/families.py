@@ -23,9 +23,9 @@ from .grid import GridDomain, ScalarField2D
 
 # Step budgets of the HL root search: doublings (halvings) of the bracket
 # ends, and safeguarded Newton steps of the polish.
-_BRACKET_STEPS = 600
-_POLISH_STEPS = 200
+_BRACKET_STEPS, _POLISH_STEPS = 600, 200
 HL_STATUS = ("ok", "skipped_y0", "degenerate")
+_OK, _SKIPPED_Y0, _DEGENERATE = map(HL_STATUS.index, ("ok", "skipped_y0", "degenerate"))
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()
     alpha, lo, hi = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
-    status = np.where(y == 0.0, 1, 0)
+    status = np.where(y == 0.0, _SKIPPED_Y0, _OK)
     # the 1/alpha term drops at x = 0: y^2 = P(alpha + b) on the distinguished branch
     k = np.flatnonzero((x == 0.0) & (y != 0.0))
     alpha[k] = branch_w_array(p, y[k] * y[k]) - b
-    status[k[(alpha[k] <= 0.0) | (eval_p_prime(p, x[k] * x[k] + alpha[k] + b) <= 0.0)]] = 2
+    status[k[(alpha[k] <= 0.0) | (eval_p_prime(p, x[k] * x[k] + alpha[k] + b) <= 0.0)]] = _DEGENERATE
 
     def residual(x, y, a):
         return np.broadcast_to(hl_residual(cfg, x, y, a), a.shape)  # also when it is a scalar
@@ -138,7 +138,7 @@ def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
         r = residual(xk, yk, t)
         unique &= (eval_p_prime(p, xk * xk + t + b) > 0.0) & (j == 0 or last > r)
         last = r
-    status[k[~unique]] = 2
+    status[k[~unique]] = _DEGENERATE
 
     # Newton, bisecting when a step leaves [lo, hi], until |r| <= 1e-10 (1 + y^2 + |P|)
     certified = k = k[unique]
@@ -160,7 +160,7 @@ def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
     for _ in range(3):  # a few extra Newton steps push |r| to the rounding floor
         cand = alpha[k] - residual(x[k], y[k], alpha[k]) / slope(x[k], y[k], alpha[k])
         alpha[k] = np.where((lo[k] < cand) & (cand < hi[k]), cand, alpha[k])
-    ok = status == 0
+    ok = status == _OK
     # the sign of u is forced by v x - u y = -y (x^2 + u^2)/u > 0
     u = np.where(ok, -np.copysign(np.sqrt(alpha), y), 0.0)
     v = np.where(ok, -x * y / u, 0.0)

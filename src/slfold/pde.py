@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branch import ReductionParams, ellipticity_array
+from .branch import ReductionParams, branch_w_array, ellipticity_array, eval_p_prime
 from .errors import (
     DegeneracyEncounteredError,
     DomainMismatchError,
@@ -96,16 +96,23 @@ def residual_first_order(
     r1 = D_x u - D_y v and r2 = D_x v + P'(w(v^2 + y^2)) D_y u at interior
     nodes; boundary rows are reported as zero.
     """
+    (r1_in, r2_in), *_ = _first_order_interior(params, u, v)
+    r1, r2 = np.zeros_like(u.values), np.zeros_like(u.values)
+    r1[1:-1, 1:-1], r2[1:-1, 1:-1] = r1_in, r2_in
+    return ScalarField2D(u.domain, r1), ScalarField2D(u.domain, r2)
+
+
+def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarField2D):
+    """((r1, r2), (D_x u, D_y u, D_x v, D_y v), w, P'(w)) at the interior nodes.
+
+    residual_first_order's interior, with the partials and the branch roots
+    w(v^2 + y^2) it was built from, for callers that reuse them.
+    """
     dom = require_same_domain(u, v)
-    uu, vv = u.values, v.values
-    r1 = np.zeros_like(uu)
-    r2 = np.zeros_like(uu)
-    s = vv[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2
-    coef = ellipticity_array(params, s)
-    (u_x, u_y), (v_x, v_y) = (central_differences(g, dom.hx, dom.hy) for g in (uu, vv))
-    r1[1:-1, 1:-1] = u_x - v_y
-    r2[1:-1, 1:-1] = v_x + coef * u_y
-    return ScalarField2D(dom, r1), ScalarField2D(dom, r2)
+    (u_x, u_y), (v_x, v_y) = (central_differences(f.values, dom.hx, dom.hy) for f in (u, v))
+    w = branch_w_array(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
+    coef = eval_p_prime(params, w)
+    return (u_x - v_y, v_x + coef * u_y), (u_x, u_y, v_x, v_y), w, coef
 
 
 def residual_potential(params: ReductionParams, f: ScalarField2D) -> ScalarField2D:

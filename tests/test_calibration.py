@@ -633,8 +633,8 @@ def test_verify_matches_frame_by_frame_reference(case, max_frames):
 
 @pytest.mark.parametrize("max_frames", [1, 12, 10_000])
 def test_verify_first_order_residual_is_residual_first_order(max_frames):
-    # verify_fields inverts the branch once for its residual and its frames;
-    # its residual must still be residual_first_order's, bit for bit
+    # verify_fields takes its residual from residual_first_order's interior pass
+    # and reports the max over both equations, bit for bit
     from slfold.pde import residual_first_order
 
     params = params_from_levels((1.0, 0.25, -1.0))
