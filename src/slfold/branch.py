@@ -3,35 +3,45 @@
 The parameter vector a = (a_1, ..., a_{n-1}) fixes a moment-map level for the
 torus action.  Every reduced quantity depends on s = v^2 + y^2 only through
 the unique root w(s) >= w0 = -min(a_j) of P(w) = s; on that branch all radii
-sqrt(w + a_j) are real.  P is strictly increasing and convex on (w0, oo), so
-the inversion runs Newton from an upper bound with a bisection safeguard.
+sqrt(w + a_j) are real.
+
+One kernel solves for t = w - w0 >= 0: with the shifts d_j = a_j - min(a),
+P(w0 + t) = prod_j (t + d_j) = t^k Q(t), k the multiplicity of min(a), so
+t(s) ~ (s/Q0)^(1/k) as s -> 0 (Q0 = Q(0)) and w + a_j = t + d_j >= 0.  Newton
+descends onto t from an upper bound, to |P - s| <= 2(n-1) eps s where the
+product stays in the normal float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBranchError, NegativeSError
+from .errors import DegenerateBranchError, NegativeSError, NoConvergenceError
 
-# |P(w) - s| <= BRANCH_TOL * (1 + s) defines convergence of the inversion.
-BRANCH_TOL = 1e-12
 # Below this P'(w) the sensitivity 1/P'(w) is refused instead of returned.
 DEGENERACY_FLOOR = 1e-8
 
-_MAX_NEWTON = 200
+_MAX_NEWTON = 50
 
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Dimension n and the level parameters (a_1, ..., a_{n-1})."""
+    """Dimension n, levels a, and shifts d_j = a_j - min(a): k = min_multiplicity of
+    them vanish and q0 multiplies the others.  bounds holds the (j, Q_j), k <= j < n-1,
+    with Q_j the product of the n-1-j largest shifts (P(w0 + t) >= t^j Q_j) in the
+    normal float range: outside it Q_j can round up."""
 
     n: int
     a: tuple[float, ...]
     w0: float = field(init=False)
     min_multiplicity: int = field(init=False)
+    shifts: tuple[float, ...] = field(init=False)
+    q0: float = field(init=False)
+    bounds: tuple[tuple[int, float], ...] = field(init=False)
 
     def __post_init__(self):
         a = tuple(float(v) for v in self.a)
@@ -41,9 +51,17 @@ class ReductionParams:
         if len(a) != self.n - 1:
             raise ValueError(f"need n-1 = {self.n - 1} parameters, got {len(a)}")
         amin = min(a)
-        object.__setattr__(self, "w0", -amin)
+        shifts = tuple(v - amin for v in a)
         # exact equality on purpose: the singular/nonsingular dichotomy is algebraic
-        object.__setattr__(self, "min_multiplicity", sum(1 for v in a if v == amin))
+        k = shifts.count(0.0)
+        largest = sorted(shifts, reverse=True)
+        q = {j: float(math.prod(largest[: self.n - 1 - j])) for j in range(k, self.n - 1)}
+        object.__setattr__(self, "w0", -amin)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "min_multiplicity", k)
+        object.__setattr__(self, "q0", q.get(k, 1.0))
+        tiny = np.finfo(float).tiny
+        object.__setattr__(self, "bounds", tuple((j, qj) for j, qj in q.items() if tiny <= qj < math.inf))
 
 
 def params_from_levels(a: Sequence[float]) -> ReductionParams:
@@ -84,44 +102,39 @@ def eval_p_prime(params: ReductionParams, w: float) -> float:
     return _p_and_dp(params.a, w)[1]
 
 
-def _upper_bound(params: ReductionParams, s: float) -> float:
-    # Each factor at this w is >= max(1, s^{1/(n-1)}), hence P >= s there.
-    spread = sum(abs(v) for v in params.a)
-    return params.w0 + max(1.0, s ** (1.0 / (params.n - 1))) + spread
+def _branch_t(params: ReductionParams, s):
+    """(t, P'(w0 + t)) with P(w0 + t) = s and t >= 0, for s a float or an array.
+
+    prod_j (t + d_j) is increasing and convex in t >= 0, so Newton descends onto t
+    from the least of s^(1/(n-1)) and the (s/Q_j)^(1/j) of params.bounds, padded.
+    Stopped entries are frozen by arithmetic on a mask, so a float takes an array
+    entry's steps.  Raises NegativeSError for s < 0 and NoConvergenceError when
+    the step budget runs out.
+    """
+    if np.count_nonzero(s < 0):
+        raise NegativeSError(f"s must be >= 0, got {np.min(s)}")
+    # np.power also on a float: float ** can differ from the array loop in the last bit
+    t = np.power(s, 1.0 / (params.n - 1))
+    for j, q in params.bounds:
+        t = np.minimum(np.power(s, 1.0 / j) / q ** (1.0 / j), t)
+    # a float runs the loop on Python floats, much faster than numpy scalars
+    t, p_last = (t.item() if t.ndim == 0 else t) * (1.0 + 1e-9), np.nan
+    for _ in range(_MAX_NEWTON):
+        p, dp = _p_and_dp(params.shifts, t)
+        step = (p - s) / (dp + (dp == 0.0))  # P' = 0 only at t = 0 with k > 1
+        # Newton descends from above; it has stopped at or below the root, or where
+        # the step no longer moves t or the rounded product (gradual underflow)
+        moving = (p - s > 0.0) & (t - step != t) & (p != p_last)
+        if not np.count_nonzero(moving):
+            return t, dp
+        t, p_last = t - step * moving, p
+    raise NoConvergenceError(_MAX_NEWTON, float(np.max(abs(p - s))))
 
 
 def solve_branch(params: ReductionParams, s: float) -> BranchState:
-    """Invert P(w) = s on the branch w >= w0.
-
-    Newton from the upper bracket end; P is convex and increasing there, so
-    iterates descend monotonically onto the root.  Any iterate that leaves
-    the bracket (rounding near a flat root) is replaced by a bisection step.
-    """
-    if s < 0:
-        raise NegativeSError(f"s must be >= 0, got {s}")
-    a = params.a
-    if s == 0.0:
-        _, dp = _p_and_dp(a, params.w0)
-        return BranchState(0.0, params.w0, dp)
-    lo = params.w0
-    hi = _upper_bound(params, s)
-    w = hi
-    tol = BRANCH_TOL * (1.0 + s)
-    p, dp = _p_and_dp(a, w)
-    for _ in range(_MAX_NEWTON):
-        err = p - s
-        if abs(err) <= tol:
-            break
-        if err > 0.0:
-            hi = w
-        else:
-            lo = w
-        w_new = w - err / dp if dp > 0.0 else lo
-        if not (lo < w_new < hi):
-            w_new = 0.5 * (lo + hi)
-        w = w_new
-        p, dp = _p_and_dp(a, w)
-    return BranchState(s, w, dp)
+    """Invert P(w) = s on the branch w >= w0: w = w0 + t and P'(w), from _branch_t."""
+    t, dp = _branch_t(params, float(s))
+    return BranchState(s, float(params.w0 + t), float(dp))
 
 
 def branch_sensitivity(params: ReductionParams, state: BranchState) -> float:
@@ -134,26 +147,10 @@ def branch_sensitivity(params: ReductionParams, state: BranchState) -> float:
 
 
 def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
-    """Vectorised branch inversion; same tolerance as solve_branch."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise NegativeSError("all s values must be >= 0")
-    spread = sum(abs(v) for v in params.a)
-    w = params.w0 + np.maximum(1.0, s ** (1.0 / (params.n - 1))) + spread
-    tol = BRANCH_TOL * (1.0 + s)
-    for _ in range(_MAX_NEWTON):
-        p, dp = _p_and_dp(params.a, w)
-        err = p - s
-        active = np.abs(err) > tol
-        if not active.any():
-            break
-        step = err / np.where(dp > 0.0, dp, 1.0)
-        w = np.where(active, np.maximum(w - step, params.w0), w)
-    w = np.where(s == 0.0, params.w0, w)
-    return w
+    """w(s) = w0 + t(s) elementwise; solve_branch's w bit for bit."""
+    return params.w0 + _branch_t(params, np.asarray(s, dtype=float))[0]
 
 
 def ellipticity_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
-    """F(s) = P'(w(s)) evaluated elementwise on an array of levels."""
-    w = branch_w_array(params, s)
-    return _p_and_dp(params.a, w)[1]
+    """F(s) = P'(w(s)) elementwise, from the factors t + d_j."""
+    return _branch_t(params, np.asarray(s, dtype=float))[1]

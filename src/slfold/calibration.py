@@ -12,7 +12,7 @@ evaluated here, together with the calibrated cross product computed two
 independent ways (cofactor determinants versus closed form) and the
 least-squares decomposition of Wy over {Wphi_i, Wx, cross vector}.
 The kernels work on (N, n, n) frame stacks, and the one-frame functions
-call them with N = 1; verify_fields lifts through embedding.lift_nodes_at.
+call them with N = 1; verify_fields lifts through embedding.lift_nodes.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .branch import DEGENERACY_FLOOR, ReductionParams, eval_p_prime, solve_branch
-from .embedding import EmbeddedSample, lift_nodes_at, unit_power_i
+from .branch import DEGENERACY_FLOOR, ReductionParams, solve_branch
+from .embedding import EmbeddedSample, _radicands, lift_nodes, unit_power_i
 from .errors import (
     DegenerateBranchError,
     RankDeficientError,
@@ -132,8 +132,8 @@ def _derivs(n: int, v, y, v_x, v_y, p_prime):
 def _radii(
     params: ReductionParams, sample: EmbeddedSample, message: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(w + a_j, sqrt(w + a_j)); raises ZeroRadiusError(message) at the floor."""
-    radicand = np.array([sample.w + aj for aj in params.a])
+    """(w + a_j, sqrt(w + a_j)) as t + d_j; raises ZeroRadiusError(message) at the floor."""
+    radicand = _radicands(params, sample.w - params.w0)
     if np.any(radicand <= ZERO_RADIUS_FLOOR):
         raise ZeroRadiusError(message)
     return radicand, np.sqrt(radicand)
@@ -154,28 +154,29 @@ def tangent_frame(
     every calibration quantity evaluated here is invariant under that move.
     """
     n = params.n
-    _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
-    p_prime = eval_p_prime(params, sample.w)
+    radicand, _ = _radii(params, sample, "a radius sqrt(w + a_j) vanishes; frame is undefined")
+    # P'(w) as implicit_derivatives takes it
+    p_prime = solve_branch(params, sample.v * sample.v + sample.y * sample.y).p_prime_at_w
     der = _implicit_derivs(params, sample.v, sample.y, v_x, v_y, p_prime)
-    data = (sample.theta_total, sample.w, p_prime, sample.v, sample.y, u_x, u_y, v_x, v_y)
+    data = (sample.theta_total, radicand, p_prime, sample.v, sample.y, u_x, u_y, v_x, v_y)
     cols = _assemble(params, *(np.array([t], dtype=float) for t in data))[0].T.copy()
     return TangentFrame(w_phi=tuple(cols[: n - 2]), wx=cols[n - 2], wy=cols[n - 1],
                         derivs=der, point=sample)
 
 
-def _assemble(params: ReductionParams, theta, w, p_prime, v, y, u_x, u_y, v_x, v_y) -> np.ndarray:
+def _assemble(params: ReductionParams, theta, radicand, p_prime, v, y, u_x, u_y, v_x, v_y) -> np.ndarray:
     """Frame matrices (N, n, n) with columns [Wphi_1, ..., Wphi_{n-2}, Wx, Wy].
 
-    Every argument is a length-N array: the angle sum Theta, the branch root
-    w, P'(w), the base values v and y, and the four partials.  The caller
+    Arguments: the angle sum Theta, the radicands w + a_j (N, n-1), P'(w), the
+    base values v and y, and the four partials, all of length N.  The caller
     has excluded vanishing radii, v = y = 0 and P'(w) below the floor.
     """
     n = params.n
-    radii = np.sqrt(w[:, None] + np.array(params.a))
+    radii = np.sqrt(radicand)
     th_x, th_y, w_x, w_y = (d[:, None] for d in _derivs(n, v, y, v_x, v_y, p_prime))
     phase = np.exp(1j * (theta / (n - 1)))[:, None]
     zg = radii * phase  # gauge representative of (z_1, ..., z_{n-1})
-    m = np.zeros((len(w), n, n), dtype=complex)
+    m = np.zeros((len(radicand), n, n), dtype=complex)
     k = np.arange(n - 2)
     m[:, k, k] = 1j * zg[:, : n - 2]
     m[:, n - 2, : n - 2] = -1j * zg[:, n - 2 :]
@@ -415,8 +416,8 @@ def verify_fields(
 
     The interior nodes are taken with one stride in both directions, the
     smallest that selects at most about max_frames of them, i outer and j
-    inner.  The partials, the branch roots w and P'(w) come from the interior pass
-    of pde.residual_first_order, which the lift reuses (lift_nodes_at).
+    inner.  The partials, the branch shifts t and P'(w) come from the interior pass
+    of pde.residual_first_order, which the lift reuses (lift_nodes).
     Each selected node is skipped for the first SKIP_REASONS check it fails, in
     the order of the one-frame path (lift_point, tangent_frame,
     decomposition_check); the others are checked FRAME_BLOCK frames at a time.
@@ -425,7 +426,7 @@ def verify_fields(
         raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     n = params.n
     # one branch inversion of the interior serves the first-order residual and the lift
-    residuals, interior_partials, w_in, p_prime_in = _first_order_interior(params, u, v)
+    residuals, interior_partials, t_in, p_prime_in = _first_order_interior(params, u, v)
     first_order = float(max(np.abs(r).max(initial=0.0) for r in residuals))
 
     dom = u.domain
@@ -434,7 +435,7 @@ def verify_fields(
         np.arange(0, dom.nx - 2, stride), np.arange(0, dom.ny - 2, stride), indexing="ij"))
     partials = [d[ii, jj] for d in interior_partials]
     x, y, vv = dom.xs()[ii + 1], dom.ys()[jj + 1], v.values[ii + 1, jj + 1]
-    theta, w, radicand, collapsed = lift_nodes_at(params, vv, y, w_in[ii, jj])
+    theta, _, radicand, collapsed = lift_nodes(params, vv, y, t_in[ii, jj])
     p_prime = p_prime_in[ii, jj]
 
     # an index into SKIP_REASONS, or -1 for a frame to check
@@ -452,7 +453,7 @@ def verify_fields(
     rows, deviations = [], []
     for start in range(0, len(checked), FRAME_BLOCK):
         k = checked[start : start + FRAME_BLOCK]
-        m = _assemble(params, *(c[k] for c in (theta, w, p_prime, vv, y, *partials)))
+        m = _assemble(params, *(c[k] for c in (theta, radicand, p_prime, vv, y, *partials)))
         coef, fit_residual, rank = _fit(m)
         full = rank >= n
         reason[k[~full]] = 3

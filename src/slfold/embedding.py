@@ -6,9 +6,9 @@ distinguished branch and the angle sum Theta = t_1 + ... + t_{n-1} is pinned
 by i^{n-3} z_1 ... z_{n-1} = v + iy.  Individual angles are gauge; the torus
 action moves them freely at fixed Theta.
 
-lift_nodes lifts arrays of nodes for sample_fields, and lift_nodes_at does so
-from known branch roots for calibration.verify_fields; lift_point, on one point
-with the scalar branch solver, is their reference.
+The radicands w + a_j are read as t + d_j (branch), never negative.  lift_point
+lifts one point and is the reference; lift_nodes lifts arrays of nodes for
+sample_fields and calibration.verify_fields.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branch import ReductionParams, branch_w_array, solve_branch
+from .branch import ReductionParams, _branch_t
 from .errors import SingularPointError
 from .grid import ScalarField2D, require_same_domain
 
@@ -88,27 +88,26 @@ def lift_point(
         theta_sum = 0.0  # product of the z_j vanishes; the phase is immaterial
     else:
         theta_sum = total_phase(params, v, y)
-    w = solve_branch(params, v * v + y * y).w
-    radicand = np.array([w + aj for aj in params.a])
-    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
-    radii = np.sqrt(radicand)
+    t, _ = _branch_t(params, v * v + y * y)
+    radii = np.sqrt(_radicands(params, t))
     z = np.append(radii * np.exp(1j * np.array(angles + (theta_sum - sum(angles),))), complex(x, u))
     return EmbeddedSample(z=z, x=float(x), y=float(y), u=float(u), v=float(v),
-                          w=w, theta_total=theta_sum, torus_angles=angles)
+                          w=float(params.w0 + t), theta_total=theta_sum, torus_angles=angles)
 
 
-def lift_nodes(params: ReductionParams, v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+def _radicands(params: ReductionParams, t):
+    """w + a_j = t + d_j along a new last axis, at branch shifts t >= 0."""
+    return np.asarray(t)[..., None] + np.array(params.shifts)
+
+
+def lift_nodes(
+    params: ReductionParams, v: np.ndarray, y: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """(Theta, w, radicands w + a_j, v = y = 0 mask) of lift_point at every node of (v, y).
 
-    Theta is 0 on collapsed nodes and w comes from branch_w_array; no node is skipped.
+    t holds the nodes' branch shifts w(v^2 + y^2) - w0.  Theta is 0 on collapsed
+    nodes; no node is skipped.
     """
-    return lift_nodes_at(params, v, y, branch_w_array(params, v * v + y * y))
-
-
-def lift_nodes_at(
-    params: ReductionParams, v: np.ndarray, y: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """lift_nodes at nodes whose branch roots w = w(v^2 + y^2) are already known."""
     base = np.empty(len(v), dtype=complex)
     base.real, base.imag = v, y  # as complex(v, y); v + 1j*y can flip the sign of a zero
     rotated = unit_power_i(3 - params.n) * base
@@ -116,9 +115,7 @@ def lift_nodes_at(
     theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
     collapsed = (v == 0.0) & (y == 0.0)
     theta[collapsed] = 0.0  # product of the z_j vanishes; the phase is immaterial
-    radicand = w[:, None] + np.array(params.a)
-    radicand[radicand < 0.0] = 0.0  # floating dust below the branch floor
-    return theta, w, radicand, collapsed
+    return theta, params.w0 + t, _radicands(params, t), collapsed
 
 
 def moment_residual(params: ReductionParams, sample: EmbeddedSample) -> np.ndarray:
@@ -163,7 +160,7 @@ def sample_fields(
     dom = require_same_domain(u, v)
     x, y = (g.ravel() for g in np.meshgrid(dom.xs(), dom.ys(), indexing="ij"))
     vv = v.values.ravel()
-    theta, w, radicand, collapsed = lift_nodes(params, vv, y)
+    theta, w, radicand, collapsed = lift_nodes(params, vv, y, _branch_t(params, vv * vv + y * y)[0])
     keep = ~(collapsed & (params.min_multiplicity > 1))
     skipped = [divmod(k, dom.ny) for k in np.flatnonzero(~keep).tolist()]
 

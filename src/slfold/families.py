@@ -24,8 +24,8 @@ from .grid import GridDomain, ScalarField2D
 # Step budgets of the HL root search: doublings (halvings) of the bracket
 # ends, and safeguarded Newton steps of the polish.
 _BRACKET_STEPS, _POLISH_STEPS = 600, 200
-HL_STATUS = ("ok", "skipped_y0", "degenerate")
-_OK, _SKIPPED_Y0, _DEGENERATE = map(HL_STATUS.index, ("ok", "skipped_y0", "degenerate"))
+HL_STATUS = ("ok", "skipped_y0", "degenerate", "underflow")
+_OK, _SKIPPED_Y0, _DEGENERATE, _UNDERFLOW = range(len(HL_STATUS))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class HLColumns(NamedTuple):
     v: np.ndarray
     w: np.ndarray
     alpha: np.ndarray
-    status: np.ndarray  # HL_STATUS names: "ok", "skipped_y0" (y = 0) or "degenerate"
+    status: np.ndarray  # HL_STATUS names: "ok", "skipped_y0" (y = 0), "degenerate" or "underflow"
 
 
 def hl_residual(cfg: HLConfig, x, y, alpha):
@@ -92,7 +92,7 @@ def _scan_sign_changes(cfg: HLConfig, x: float, y: float, lo: float, hi: float) 
     return [(float(grid[i]), float(grid[i + 1])) for i in k]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
     """hl_triples, and the bracket ends (lo, hi), flat, that degenerate nodes with x != 0 keep.
 
@@ -125,8 +125,12 @@ def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
     # the residual blows up to +oo as alpha -> 0+ (x != 0) and falls to -oo as alpha -> oo
     k = np.flatnonzero((x != 0.0) & (y != 0.0))
     xk, yk = x[k], y[k]
-    hi[k] = top = bracket(np.ones(len(k)), 2.0, lambda r: ~(r < 0.0))
     bottom = np.minimum(1.0, yk * yk * xk * xk / (1.0 + np.abs(eval_p(p, xk * xk + 1.0 + b))))
+    # where x^2 y^2 underflows to 0, the root alpha < x^2 y^2 is below the float range
+    keep = bottom > 0.0
+    status[k[~keep]] = _UNDERFLOW
+    k, xk, yk, bottom = k[keep], xk[keep], yk[keep], bottom[keep]
+    hi[k] = top = bracket(np.ones(len(k)), 2.0, lambda r: ~(r < 0.0))
     lo[k] = bottom = bracket(bottom, 0.5, lambda r: ~(r > 0.0))
 
     # uniqueness: P' > 0 and a falling residual at np.geomspace(bottom, top, 20), probe by probe
@@ -173,8 +177,8 @@ def hl_triples(cfg: HLConfig, x, y) -> HLColumns:
     """(u, v, w, alpha, status) at the broadcast base points (x, y), in one array solve.
 
     alpha > 0 is the root of hl_residual, u = -sign(y) sqrt(alpha), v = -xy/u and
-    w = x^2 + u^2 + b.  They are 0 where y = 0 ("skipped_y0") and where P' <= 0
-    on the root's bracket may make it not unique ("degenerate").
+    w = x^2 + u^2 + b.  They are 0 where y = 0 ("skipped_y0"), where P' <= 0 on the root's
+    bracket may make it not unique ("degenerate") and where x^2 y^2 underflows ("underflow").
     """
     return _hl_solve(cfg, x, y)[0]
 
@@ -185,13 +189,14 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
 
 
 def hl_triple(cfg: HLConfig, x: float, y: float) -> HLColumns:
-    """hl_triples at one point as floats; YZeroError or DegenerateRegionError by status.
-
-    The latter carries the sign changes of the residual on the root's bracket.
+    """hl_triples at one point as floats; YZeroError, NonpositiveAlphaError or
+    DegenerateRegionError by status, the last with the residual's sign changes on the bracket.
     """
     cols, lo, hi = _hl_solve(cfg, x, y)
     if cols.status == "skipped_y0":
         raise YZeroError("the constraint solve requires y != 0")
+    if cols.status == "underflow":
+        raise NonpositiveAlphaError(f"x^2 y^2 underflows at ({x}, {y}); alpha is below the float range")
     if cols.status == "degenerate":
         changes = _scan_sign_changes(cfg, x, y, lo[0], hi[0]) if x != 0.0 else None
         raise DegenerateRegionError(f"no certified unique root alpha > 0 at ({x}, {y})", changes)

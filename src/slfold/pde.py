@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branch import ReductionParams, branch_w_array, ellipticity_array, eval_p_prime
+from .branch import ReductionParams, _branch_t, ellipticity_array
 from .errors import (
     DegeneracyEncounteredError,
     DomainMismatchError,
@@ -103,16 +103,15 @@ def residual_first_order(
 
 
 def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarField2D):
-    """((r1, r2), (D_x u, D_y u, D_x v, D_y v), w, P'(w)) at the interior nodes.
+    """((r1, r2), (D_x u, D_y u, D_x v, D_y v), t, P'(w)) at the interior nodes.
 
-    residual_first_order's interior, with the partials and the branch roots
-    w(v^2 + y^2) it was built from, for callers that reuse them.
+    residual_first_order's interior, with the partials and the branch shifts
+    t = w(v^2 + y^2) - w0 it was built from, for callers that reuse them.
     """
     dom = require_same_domain(u, v)
     (u_x, u_y), (v_x, v_y) = (central_differences(f.values, dom.hx, dom.hy) for f in (u, v))
-    w = branch_w_array(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
-    coef = eval_p_prime(params, w)
-    return (u_x - v_y, v_x + coef * u_y), (u_x, u_y, v_x, v_y), w, coef
+    t, coef = _branch_t(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
+    return (u_x - v_y, v_x + coef * u_y), (u_x, u_y, v_x, v_y), t, coef
 
 
 def residual_potential(params: ReductionParams, f: ScalarField2D) -> ScalarField2D:

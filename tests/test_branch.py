@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slfold import branch
 from slfold.branch import (
-    BRANCH_TOL,
     ReductionParams,
     branch_sensitivity,
     branch_w_array,
+    ellipticity_array,
     eval_p,
     eval_p_prime,
     params_from_levels,
     solve_branch,
 )
-from slfold.errors import DegenerateBranchError, NegativeSError
+from slfold.embedding import lift_point
+from slfold.errors import DegenerateBranchError, NegativeSError, NoConvergenceError
 
 from conftest import random_params
 
@@ -104,7 +106,7 @@ def test_branch_properties(n, seed):
     prev_w = -np.inf
     for s in s_grid:
         state = solve_branch(params, float(s))
-        assert abs(eval_p(params, state.w) - s) <= BRANCH_TOL * (1 + s)
+        assert abs(eval_p(params, state.w) - s) <= 1e-12 * (1 + s)
         assert state.w >= params.w0 - 1e-15
         assert state.w >= prev_w - 1e-9 * (1 + abs(state.w))
         prev_w = state.w
@@ -136,12 +138,87 @@ def test_p_prime_matches_finite_difference(seed):
     assert abs(eval_p_prime(params, w) - fd) <= 1e-7 * (1 + abs(fd))
 
 
+def _bisect_t(params, s):
+    """The least float t >= 0 with prod_j (t + a_j - min(a)) >= s, by plain float bisection."""
+    shifts = [aj - min(params.a) for aj in params.a]
+
+    def p(t):
+        out = 1.0
+        for d in shifts:
+            out *= t + d
+        return out
+
+    lo, hi = 0.0, max(1.0, s)  # every factor is >= hi there, so p(hi) >= hi^(n-1) >= s
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if p(mid) < s else (lo, mid)
+    return hi
+
+
 def test_array_solver_matches_scalar(rng):
-    params = random_params(rng, n=5)
-    s = np.concatenate([[0.0], rng.uniform(0, 100, 64)])
-    w_arr = branch_w_array(params, s)
-    w_scalar = np.array([solve_branch(params, float(v)).w for v in s])
-    assert np.allclose(w_arr, w_scalar, rtol=1e-10, atol=1e-12)
+    # one kernel: the float and array paths agree bit for bit, and t = w - w0 is
+    # within 2 ulps of a bisection on the shifted factors
+    levels = [random_params(rng, n=5).a, (0.0, 0.0, 1.0), (1e8, -1.0), (2.0, -1.0, -1.0, 5.0)]
+    s = np.concatenate([[0.0, 1e-300, 1e-20, 1e200], rng.uniform(0, 100, 64)])
+    for a in levels:
+        params = params_from_levels(a)
+        states = [solve_branch(params, float(v)) for v in s]
+        assert branch_w_array(params, s).tolist() == [st_.w for st_ in states]
+        assert ellipticity_array(params, s).tolist() == [st_.p_prime_at_w for st_ in states]
+        t = branch._branch_t(params, s)[0]
+        ref = np.array([_bisect_t(params, float(v)) for v in s])
+        assert np.all(np.abs(t - ref) <= 2 * np.spacing(ref)), a
+
+
+def test_branch_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(branch, "_MAX_NEWTON", 1)
+    params = params_from_levels((1.0, -1.0))
+    with pytest.raises(NoConvergenceError):
+        solve_branch(params, 3.0)
+    with pytest.raises(NoConvergenceError):
+        branch_w_array(params, np.array([0.0, 3.0]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_degeneration_follows_the_multiplicity_of_min_a(n):
+    # P(w0 + t) = t^k Q(t) with Q(0) = Q0: F(s) ~ k Q0^(1/k) s^(1 - 1/k), and the
+    # k radii of the minimal levels ~ (s/Q0)^(1/(2k)) while the others stay put
+    v = 1e-10
+    s = v * v
+    for k in range(1, n):
+        params = params_from_levels((-1.0,) * k + tuple(10.0 * j for j in range(1, n - k)))
+        assert params.min_multiplicity == k
+        q0 = params.q0
+        law = k * q0 ** (1 / k) * s ** (1 - 1 / k)
+        assert abs(ellipticity_array(params, np.array([s]))[0] / law - 1) <= 1e-6
+        radii = np.sort(np.abs(lift_point(params, 0.0, 0.0, 0.0, v).z[: n - 1]))
+        assert np.all(np.abs(radii[:k] / (s / q0) ** (1 / (2 * k)) - 1) <= 1e-6)
+        assert np.all(radii[k:] >= np.sqrt(11.0) * (1 - 1e-12))
+
+
+@st.composite
+def _spread_levels(draw):
+    """Levels whose minimum is attained k times and whose other shifts run over 1e-8 ... 1e8."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, n - 1))
+    low = draw(st.floats(-3.0, 3.0))
+    spreads = draw(st.lists(st.floats(-8.0, 8.0), min_size=n - 1 - k, max_size=n - 1 - k))
+    levels = [low] * k + [low + 10.0**e for e in spreads]
+    return params_from_levels(draw(st.permutations(levels)))
+
+
+@given(_spread_levels(), st.lists(st.integers(-300, 199), min_size=1, max_size=30, unique=True),
+       st.floats(1.0, 10.0, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_branch_relative_defect_and_monotone_t(params, exponents, mantissa):
+    s = np.concatenate([[0.0], mantissa * 10.0 ** np.sort(exponents)])
+    t, _ = branch._branch_t(params, s)
+    assert t[0] == 0.0 and np.all(np.isfinite(t)) and np.all(np.diff(t) >= 0.0)
+    factors = t[:, None] + np.array(params.shifts)
+    partial = np.cumprod(factors, axis=1)
+    # the relative defect is the rounding of the product where it stays in the normal range
+    normal = np.all(np.minimum(factors, partial) >= np.finfo(float).tiny, axis=1)
+    defect = np.abs(partial[:, -1] - s)[normal] / s[normal]
+    assert np.all(defect <= 2 * (params.n - 1) * np.finfo(float).eps)
 
 
 def test_p_and_p_prime_on_arrays_equal_scalar_calls(rng):

@@ -1,10 +1,15 @@
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slfold import families
+from slfold import branch, families
 from slfold.cli import main
+from slfold.errors import NonpositiveAlphaError
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
 from slfold.grid import GridDomain, ScalarField2D, boundary_indices
@@ -89,6 +94,27 @@ def test_solve_singular_params_exit3(tmp_path):
     path = tmp_path / "bad.toml"
     path.write_text(SINGULAR_CONFIG)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+@given(st.integers(3, 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_solve_exits_3_when_min_a_is_attained_twice(n, data):
+    low = data.draw(st.floats(-5.0, 5.0))
+    repeats = data.draw(st.integers(2, n - 1))
+    others = data.draw(st.lists(st.floats(-5.0, 5.0).filter(lambda t: t > low),
+                                min_size=n - 1 - repeats, max_size=n - 1 - repeats))
+    levels = data.draw(st.permutations([low] * repeats + others))
+    text = CONFIG.replace("a = [1.0, -1.0]", f"a = [{', '.join(map(repr, levels))}]")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "run.toml"
+        path.write_text(text.replace("n = 3", f"n = {n}"))
+        assert main(["solve", "--config", str(path), "--out", str(pathlib.Path(tmp) / "o")]) == 3
+
+
+def test_solve_branch_out_of_steps_exit2(tmp_path, cfg_path, monkeypatch, capsys):
+    monkeypatch.setattr(branch, "_MAX_NEWTON", 1)
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "no convergence after 1 iterations" in capsys.readouterr().err
 
 
 def test_solve_malformed_config_exit1(tmp_path):
@@ -375,6 +401,19 @@ def test_example_hl_root_search_out_of_steps_exit2(tmp_path, monkeypatch, capsys
     assert main(["example", "hl", "--a", "1,0", "--b", "0", "--domain", "0.2,1.4,0.2,1.4",
                  "--nx", "3", "--ny", "3", "--out", str(tmp_path / "hl.csv")]) == 2
     assert "solver failure: no convergence after 600 iterations" in capsys.readouterr().err
+
+
+def test_example_hl_flags_underflowing_nodes(tmp_path):
+    # x^2 y^2 underflows to 0 at the first node: no lower bracket, the rest is solved
+    out = tmp_path / "hl.csv"
+    assert main(["example", "hl", "--a", "0,0", "--b", "0", "--domain", "4.8e-92,1,4.8e-92,1",
+                 "--nx", "3", "--ny", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [row[-1] for row in rows].count("underflow") == 1
+    assert rows[0][2:] == ["0", "0", "0", "0", "underflow"]
+    assert [row[-1] for row in rows if float(row[0]) >= 0.5 and float(row[1]) >= 0.5] == ["ok"] * 4
+    with pytest.raises(NonpositiveAlphaError):
+        families.hl_triple(families.HLConfig.from_head((0.0,), 0.0), 4.8e-92, 4.8e-92)
 
 
 def test_example_hl_requires_trailing_zero():

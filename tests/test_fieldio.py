@@ -33,14 +33,14 @@ FIELD_CSV = (
 
 SAMPLES_CSV = (
     "x,y,u,v,w,theta,re_z1,im_z1,re_z2,im_z2,re_z3,im_z3\n"
-    "-1,0,-0.33333333333333331,1,1.4142135623730951,0,1.5537739740300374,0,0.6435942529055827,0,-1,-0.33333333333333331\n"
-    "-1,0.14999999999999999,-0.18333333333333332,1.075,1.475847214314544,0.13863973713415806,1.573482511601112,0,0.68319793329391587,0.095329944180546411,-1,-0.18333333333333332\n"
-    "-1,0.29999999999999999,-0.033333333333333326,1.1499999999999999,1.5532224567009065,0.25518239062081838,1.5978806140325084,0,0.71970333071241788,0.18774869496845684,-1,-0.033333333333333326\n"
+    "-1,0,-0.33333333333333331,1,1.4142135623730949,0,1.5537739740300374,0,0.64359425290558259,0,-1,-0.33333333333333331\n"
+    "-1,0.14999999999999999,-0.18333333333333332,1.075,1.475847214314544,0.13863973713415806,1.5734825116011122,0,0.68319793329391587,0.095329944180546411,-1,-0.18333333333333332\n"
+    "-1,0.29999999999999999,-0.033333333333333326,1.1499999999999999,1.5532224567009068,0.25518239062081838,1.5978806140325086,0,0.71970333071241799,0.18774869496845686,-1,-0.033333333333333326\n"
     "0,0,0,0,1,0,1.4142135623730951,0,0,0,0,0\n"
-    "0,0.14999999999999999,0.14999999999999999,0.074999999999999997,1.0139649895336704,1.1071487177940904,1.419142342942973,0,0.052848821242617,0.10569764248523397,0,0.14999999999999999\n"
-    "0,0.29999999999999999,0.29999999999999999,0.14999999999999999,1.0547511554864513,1.1071487177940904,1.4334403215643305,0,0.10464335190202126,0.20928670380404246,0,0.29999999999999999\n"
-    "1,0,0.33333333333333331,-1,1.4142135623730951,3.1415926535897931,1.5537739740300374,0,-0.6435942529055827,7.8817564177045401e-17,1,0.33333333333333331\n"
-    "1,0.14999999999999999,0.48333333333333328,-0.92500000000000004,1.3704470073665747,2.9808299129639586,1.5396256062324289,0,-0.60079541172580231,0.097426282982562493,1,0.48333333333333328\n"
+    "0,0.14999999999999999,0.14999999999999999,0.074999999999999997,1.0139649895336624,1.1071487177940904,1.4191423429429699,0,0.052848821242601721,0.10569764248520341,0,0.14999999999999999\n"
+    "0,0.29999999999999999,0.29999999999999999,0.14999999999999999,1.0547511554864493,1.1071487177940904,1.4334403215643299,0,0.1046433519020194,0.20928670380403874,0,0.29999999999999999\n"
+    "1,0,0.33333333333333331,-1,1.4142135623730949,3.1415926535897931,1.5537739740300374,0,-0.64359425290558259,7.8817564177045388e-17,1,0.33333333333333331\n"
+    "1,0.14999999999999999,0.48333333333333328,-0.92500000000000004,1.3704470073665744,2.9808299129639586,1.5396256062324289,0,-0.6007954117258022,0.097426282982562479,1,0.48333333333333328\n"
     "1,0.29999999999999999,0.6333333333333333,-0.84999999999999998,1.3462912017836259,2.8023000391357487,1.5317608174201436,0,-0.5549169232776211,0.19585303174504268,1,0.6333333333333333\n"
 )
 
@@ -53,21 +53,21 @@ POINTS_VTK = (
     "DATASET POLYDATA\n"
     "POINTS 18 double\n"
     "0 -1 0\n"
-    "-7.8817564177045401e-17 -1 1.902824323894348e-16\n"
+    "-7.8817564177045388e-17 -1 1.902824323894348e-16\n"
     "0.095329944180546411 -1 0\n"
-    "-0.095329944180546522 -1 1.9269603213466397e-16\n"
-    "0.18774869496845684 -1 0\n"
-    "-0.18774869496845692 -1 1.9568393793945187e-16\n"
+    "-0.095329944180546522 -1 1.92696032134664e-16\n"
+    "0.18774869496845686 -1 0\n"
+    "-0.18774869496845695 -1 1.9568393793945189e-16\n"
     "0 0 0\n"
     "-0 0 1.7319121124709868e-16\n"
-    "0.10569764248523397 0 0\n"
-    "-0.10569764248523397 0 1.7379481278195874e-16\n"
-    "0.20928670380404246 0 0\n"
-    "-0.20928670380404246 0 1.7554581015725102e-16\n"
-    "7.8817564177045401e-17 1 0\n"
+    "0.10569764248520341 0 0\n"
+    "-0.10569764248520341 0 1.7379481278195834e-16\n"
+    "0.20928670380403874 0 0\n"
+    "-0.20928670380403874 0 1.7554581015725092e-16\n"
+    "7.8817564177045388e-17 1 0\n"
     "0 1 1.902824323894348e-16\n"
-    "0.097426282982562493 1 0\n"
-    "-0.097426282982562409 1 1.8854975705578473e-16\n"
+    "0.097426282982562479 1 0\n"
+    "-0.097426282982562382 1 1.8854975705578473e-16\n"
     "0.19585303174504268 1 0\n"
     "-0.19585303174504262 1 1.8758659821129121e-16\n"
     "VERTICES 18 36\n"
