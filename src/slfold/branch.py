@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBranchError, NegativeSError, NoConvergenceError
+from .errors import BranchOverflowError, DegenerateBranchError, NegativeSError, NoConvergenceError
 
 # Below this P'(w) the sensitivity 1/P'(w) is refused instead of returned.
 DEGENERACY_FLOOR = 1e-8
@@ -108,8 +108,9 @@ def _branch_t(params: ReductionParams, s):
     prod_j (t + d_j) is increasing and convex in t >= 0, so Newton descends onto t
     from the least of s^(1/(n-1)) and the (s/Q_j)^(1/j) of params.bounds, padded.
     Stopped entries are frozen by arithmetic on a mask, so a float takes an array
-    entry's steps.  Raises NegativeSError for s < 0 and NoConvergenceError when
-    the step budget runs out.
+    entry's steps.  Raises NegativeSError for s < 0, BranchOverflowError when P
+    is not finite at the start for a finite s (no later P is larger), and
+    NoConvergenceError when the step budget runs out.
     """
     if np.count_nonzero(s < 0):
         raise NegativeSError(f"s must be >= 0, got {np.min(s)}")
@@ -119,8 +120,13 @@ def _branch_t(params: ReductionParams, s):
         t = np.minimum(np.power(s, 1.0 / j) / q ** (1.0 / j), t)
     # a float runs the loop on Python floats, much faster than numpy scalars
     t, p_last = (t.item() if t.ndim == 0 else t) * (1.0 + 1e-9), np.nan
-    for _ in range(_MAX_NEWTON):
+    for iteration in range(_MAX_NEWTON):
         p, dp = _p_and_dp(params.shifts, t)
+        overflow = not iteration and not np.isfinite(p).all()  # Newton descends: P is largest here
+        if overflow and np.count_nonzero(~np.isfinite(p) & np.isfinite(s)):
+            raise BranchOverflowError(
+                f"P(w0 + t) overflows at the Newton start (largest shift {max(params.shifts):.3e})"
+            )
         step = (p - s) / (dp + (dp == 0.0))  # P' = 0 only at t = 0 with k > 1
         # Newton descends from above; it has stopped at or below the root, or where
         # the step no longer moves t or the rounded product (gradual underflow)

@@ -37,7 +37,7 @@ from .fieldio import (
 )
 from .grid import GridDomain, ScalarField2D
 from .pde import solve_dirichlet
-from .winding import angle_increments, difference_trace, winding_number
+from .winding import _MIN_SAMPLES, angle_increments, difference_trace, winding_number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,11 +218,10 @@ def cmd_example(args) -> int:
     if args.family == "affine":
         dom = _parse_domain(args.domain, args.nx, args.ny)
         x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
-        columns = (x, y, args.alpha * x + args.beta, args.alpha * y + args.gamma)
-        rows = np.column_stack([c.ravel() for c in columns])
+        columns = [c.ravel() for c in (x, y, args.alpha * x + args.beta, args.alpha * y + args.gamma)]
         out = args.out or "affine.csv"
-        write_rows_csv(("x", "y", "u", "v"), rows.tolist(), out)
-        print(f"wrote {len(rows)} rows to {out}")
+        write_rows_csv(("x", "y", "u", "v"), columns, out)
+        print(f"wrote {x.size} rows to {out}")
         return 0
 
     if args.family == "hl":
@@ -234,9 +233,10 @@ def cmd_example(args) -> int:
         cfg = HLConfig.from_head(levels[:-1], args.b)
         dom = _parse_domain(args.domain, args.nx, args.ny)
         x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
-        rows = zip(*(c.ravel().tolist() for c in (x, y, *hl_triples(cfg, x, y))))
+        cols = hl_triples(cfg, x, y)
+        columns = [c.ravel() for c in (x, y, *cols[:4])] + [cols.status.ravel().astype("S")]
         out = args.out or "hl.csv"
-        write_rows_csv(("x", "y", "u", "v", "w", "alpha", "status"), rows, out)
+        write_rows_csv(("x", "y", "u", "v", "w", "alpha", "status"), columns, out)
         print(f"wrote {x.size} rows to {out}")
         return 0
 
@@ -249,8 +249,8 @@ def cmd_example(args) -> int:
     s_grid = np.linspace(0.0, args.s_max, args.s_count)
     check = joyce_check(a, s_grid)
     if args.out:
-        rows = zip(s_grid, check.coefficient, check.closed_form)
-        write_rows_csv(("s", "coefficient", "closed_form"), rows, args.out)
+        columns = (s_grid, check.coefficient, check.closed_form)
+        write_rows_csv(("s", "coefficient", "closed_form"), columns, args.out)
     print(f"max_deviation={fmt(check.deviation)}")
     return 0
 
@@ -289,12 +289,16 @@ def cmd_wind(args) -> int:
         cx, cy = (float(t) for t in args.center.split(","))
     except ValueError:
         raise ConfigError(f"bad --center {args.center!r}; expected x,y")
+    if not (np.isfinite(args.radius) and args.radius > 0.0):
+        raise ConfigError(f"--radius must be finite and > 0, got {args.radius}")
+    if args.samples < _MIN_SAMPLES:
+        raise ConfigError(f"--samples must be >= {_MIN_SAMPLES}, got {args.samples}")
     trace = difference_trace(u1, v1, u2, v2, (cx, cy), args.radius, args.samples)
     steps = angle_increments(trace)
     wind = winding_number(trace)
     if args.out:
-        rows = np.column_stack([trace.points, trace.values, np.cumsum(steps)]).tolist()
-        write_rows_csv(("x", "y", "f1", "f2", "cumulative_angle"), rows, args.out)
+        columns = (trace.points, trace.values, np.cumsum(steps))
+        write_rows_csv(("x", "y", "f1", "f2", "cumulative_angle"), columns, args.out)
     print(f"winding={wind}")
     return 0
 

@@ -11,6 +11,10 @@ class NegativeSError(SlfoldError, ValueError):
     """The level s = v^2 + y^2 must be nonnegative."""
 
 
+class BranchOverflowError(SlfoldError):
+    """P overflows at the start of the branch Newton: the shifts are too large for floats."""
+
+
 class DegenerateBranchError(SlfoldError):
     """P'(w) is below the degeneracy floor; the branch derivative blows up."""
 

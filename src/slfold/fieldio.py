@@ -1,8 +1,22 @@
 """Deterministic CSV / legacy-ASCII VTK / JSON writers and readers.
 
-Floats are formatted with 17 significant digits so a written file re-read
-reproduces every value bit for bit; all orderings are fixed (node-major in
-x, then y).
+Floats are written as ``'%.17g' % x`` writes them (17 significant digits), so
+a written file re-read reproduces every value bit for bit; all orderings are
+fixed (node-major in x, then y).
+
+Every table of floats goes through one numpy kernel, ``_table_bytes``, a block
+of about ``_BLOCK_CELLS`` cells at a time.  Its cells come from ``_float17._cells``:
+for a finite x = f 2^e (``np.frexp``), a Dekker two-product of f with a
+double-double 2^e 10^p, from a table built on first use for the exponents
+met, gives the 17-digit integer and the decimal exponent of x, correctly
+rounded (the error is below 1e-14 of a unit in the last digit).  Four-digit
+groups of ASCII come from a lookup table.  Each cell is laid out in four
+64-bit words with fixed places for the sign, the ``0.000`` prefix, the
+digits, the point and the exponent, and NUL bytes wherever a place is empty
+(trailing zeros included), and one ``bytes.translate`` per block deletes the
+NULs.  ``fmt`` writes the non-finite cells and the cells whose scaled value
+lies within 1e-7 of a rounding tie.  ``_float17`` is imported by the first
+table written, so a command that writes none does not compile it.
 """
 
 from __future__ import annotations
@@ -22,9 +36,9 @@ def fmt(x: float) -> str:
 
 
 def write_field_csv(field: ScalarField2D, path: str | Path, name: str = "value") -> None:
-    xs, ys = field.domain.xs().tolist(), field.domain.ys().tolist()
-    rows = ((x, y, val) for x, col in zip(xs, field.values.tolist()) for y, val in zip(ys, col))
-    write_rows_csv(("x", "y", name), rows, path)
+    dom = field.domain
+    nodes = (np.repeat(dom.xs(), dom.ny), np.tile(dom.ys(), dom.nx), field.values.ravel())
+    write_rows_csv(("x", "y", name), nodes, path)
 
 
 def read_xyv_rows(path: str | Path) -> np.ndarray:
@@ -61,31 +75,21 @@ def read_field_csv(path: str | Path) -> ScalarField2D:
 
 def write_field_vtk(field: ScalarField2D, path: str | Path, name: str = "value") -> None:
     dom = field.domain
-    xs, ys = dom.xs(), dom.ys()
-    lines = [
-        "# vtk DataFile Version 3.0",
-        name,
-        "ASCII",
-        "DATASET STRUCTURED_GRID",
-        f"DIMENSIONS {dom.nx} {dom.ny} 1",
-        f"POINTS {dom.nx * dom.ny} double",
-    ]
+    count = dom.nx * dom.ny
+    head = (
+        f"# vtk DataFile Version 3.0\n{name}\nASCII\nDATASET STRUCTURED_GRID\n"
+        f"DIMENSIONS {dom.nx} {dom.ny} 1\nPOINTS {count} double\n"
+    )
     # VTK structured order: x varies fastest
-    nodes = np.column_stack([np.tile(xs, dom.ny), np.repeat(ys, dom.nx)])
-    lines += ("%.17g %.17g 0" % tuple(row) for row in _float_rows(nodes))
-    lines += [
-        f"POINT_DATA {dom.nx * dom.ny}",
-        f"SCALARS {name} double 1",
-        "LOOKUP_TABLE default",
-    ]
-    lines += map(fmt, field.values.T.ravel().tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    nodes = (np.tile(dom.xs(), dom.ny), np.repeat(dom.ys(), dom.nx), np.zeros(count))
+    data = f"POINT_DATA {count}\nSCALARS {name} double 1\nLOOKUP_TABLE default\n"
+    _write(path, head, _table_bytes(nodes, " "), data, _table_bytes([field.values.T.ravel()], " "))
 
 
 def write_samples_csv(cloud: SurfaceSamples, path: str | Path) -> None:
     zs = [f"{part}_z{k}" for k in range(1, cloud.z.shape[1] + 1) for part in ("re", "im")]
     table = np.hstack([cloud.base, cloud.z.view(float)])
-    write_rows_csv(["x", "y", "u", "v", "w", "theta", *zs], _float_rows(table), path)
+    write_rows_csv(["x", "y", "u", "v", "w", "theta", *zs], [table], path)
 
 
 # --- point-cloud projections -------------------------------------------------
@@ -114,35 +118,73 @@ def write_points_vtk(cloud: SurfaceSamples, proj: list[tuple[str, int]], path: s
     z = cloud.z
     cols = [z[:, idx - 1].real if kind == "re" else z[:, idx - 1].imag for kind, idx in proj]
     count = len(z)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "embedded samples",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {count} double",
-    ]
-    lines += ("%.17g %.17g %.17g" % tuple(row) for row in _float_rows(np.column_stack(cols)))
-    lines.append(f"VERTICES {count} {2 * count}")
-    lines += (f"1 {k}" for k in range(count))
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = f"# vtk DataFile Version 3.0\nembedded samples\nASCII\nDATASET POLYDATA\nPOINTS {count} double\n"
+    # "1 k" per vertex: small integers are written as integers
+    vertices = (np.ones(count), np.arange(count, dtype=float))
+    _write(path, head, _table_bytes(cols, " "), f"VERTICES {count} {2 * count}\n",
+           _table_bytes(vertices, " "))
 
 
 def write_json(obj: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _float_rows(table: np.ndarray, block: int = 4096) -> Iterator[list[float]]:
-    """Rows of a 2-d float array as lists of Python floats, converted a block at a time."""
-    for start in range(0, len(table), block):
-        yield from table[start : start + block].tolist()
+def write_rows_csv(header: Iterable[str], columns: Sequence[np.ndarray], path: str | Path) -> None:
+    """A header line, then one row per entry of the equal-length columns.
+
+    A column is a 1-d array of floats (written as fmt() writes them) or of
+    bytes (dtype 'S', written as they are), or a 2-d float array of several
+    adjacent columns.
+    """
+    _write(path, ",".join(header) + "\n", _table_bytes(columns, ","))
 
 
-def write_rows_csv(header: Iterable[str], rows: Iterable[Sequence], path: str | Path) -> None:
-    """Strings as they are, numbers as fmt() writes them; the first row fixes each column's kind."""
-    lines = [",".join(header)]
-    template = None
-    for row in rows:
-        if template is None:
-            template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in row)
-        lines.append(template % tuple(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write(path: str | Path, *pieces: str | Iterable[bytes]) -> None:
+    """Write text pieces and the byte blocks of _table_bytes, in order."""
+    with open(path, "wb") as out:
+        for piece in pieces:
+            if isinstance(piece, str):
+                out.write(piece.encode())
+            else:
+                out.writelines(piece)
+
+
+# --- the float table kernel ----------------------------------------------------
+
+_BLOCK_CELLS = 3072
+
+
+def _table_bytes(columns: Sequence[np.ndarray], sep: str) -> Iterator[bytes]:
+    """The rows of equal-length columns as bytes, a block of whole rows at a time.
+
+    Cells are joined by sep and each row ends in a newline.  Columns are as
+    write_rows_csv takes them; adjacent float columns are formatted together.
+    """
+    groups: list[np.ndarray] = []
+    for col in map(np.asarray, columns):
+        if col.dtype.kind == "S":
+            groups.append(col)
+        elif groups and groups[-1].dtype.kind == "f":
+            groups[-1] = np.column_stack([groups[-1], col])
+        else:
+            col = col.astype(float, copy=False)
+            groups.append(col if col.ndim == 2 else col[:, None])
+    from ._float17 import _cells  # see the module docstring
+
+    rows = len(groups[0]) if groups else 0
+    width = sum(g.shape[1] if g.ndim == 2 else 1 for g in groups)
+    step = max(1, _BLOCK_CELLS // max(width, 1))  # rows per block
+    sep_byte = ord(sep)
+    for start in range(0, rows, step):
+        parts = []
+        for group in groups:
+            block = group[start : start + step]
+            if block.dtype.kind == "S":
+                part = np.full((len(block), block.itemsize + 1), sep_byte, np.uint8)
+                part[:, :-1] = block.view(np.uint8).reshape(len(block), -1)
+            else:
+                part = _cells(block.ravel(), sep_byte).view(np.uint8).reshape(len(block), -1)
+            parts.append(part)
+        parts[-1][:, -1] = ord("\n")
+        table = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        yield table.tobytes().translate(None, b"\0")

@@ -23,6 +23,8 @@ from .grid import ScalarField2D, require_same_domain
 # |value| <= ZERO_REL * max|value| counts as a zero on the loop.
 ZERO_REL = 1e-12
 INTEGER_TOL = 1e-6
+# A loop of fewer samples is refused as under-sampled.
+_MIN_SAMPLES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +48,8 @@ class LoopTrace:
 def _complex_values(trace: LoopTrace) -> np.ndarray:
     z = trace.values[:, 0] + 1j * trace.values[:, 1]
     mags = np.abs(z)
-    if z.size < 8:
-        raise UnderSampledError(f"need at least 8 loop samples, got {z.size}")
+    if z.size < _MIN_SAMPLES:
+        raise UnderSampledError(f"need at least {_MIN_SAMPLES} loop samples, got {z.size}")
     if np.min(mags) <= ZERO_REL * np.max(mags):
         raise ZeroOnLoopError("the map (numerically) vanishes on the loop")
     return z
@@ -98,7 +100,16 @@ def difference_trace(
     radius: float,
     samples: int,
 ) -> LoopTrace:
-    """Trace of F = (u1 - u2, v1 - v2) on a circle, bilinearly interpolated."""
+    """Trace of F = (u1 - u2, v1 - v2) on a circle, bilinearly interpolated.
+
+    Raises ValueError unless the radius is finite and > 0, UnderSampledError
+    for fewer than 8 samples, and OutOfDomainError when the circle leaves the
+    grid domain.
+    """
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"the circle radius must be finite and > 0, got {radius}")
+    if samples < _MIN_SAMPLES:
+        raise UnderSampledError(f"need at least {_MIN_SAMPLES} loop samples, got {samples}")
     dom = require_same_domain(u1, v1, u2, v2)
     cx, cy = center
     if not (

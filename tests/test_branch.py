@@ -17,7 +17,12 @@ from slfold.branch import (
     solve_branch,
 )
 from slfold.embedding import lift_point
-from slfold.errors import DegenerateBranchError, NegativeSError, NoConvergenceError
+from slfold.errors import (
+    BranchOverflowError,
+    DegenerateBranchError,
+    NegativeSError,
+    NoConvergenceError,
+)
 
 from conftest import random_params
 
@@ -176,6 +181,24 @@ def test_branch_budget_exhaustion_raises(monkeypatch):
         solve_branch(params, 3.0)
     with pytest.raises(NoConvergenceError):
         branch_w_array(params, np.array([0.0, 3.0]))
+
+
+# P = t (t + 2.9e243)^4 overflows at the Newton start for every s > 0
+OVERFLOWING_SHIFTS = (2.9e243, 0.0, 2.9e243, 2.9e243, 2.9e243)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e10])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_branch_overflow_at_the_start_raises(s):
+    params = params_from_levels(OVERFLOWING_SHIFTS)
+    with pytest.raises(BranchOverflowError, match="overflows at the Newton start"):
+        solve_branch(params, s)
+    with pytest.raises(BranchOverflowError):
+        branch_w_array(params, np.array([0.0, s]))
+    with pytest.raises(BranchOverflowError):
+        ellipticity_array(params, np.array([s, s]))
+    # s = 0 is solved exactly: P(w0) = 0 does not overflow
+    assert solve_branch(params, 0.0).w == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

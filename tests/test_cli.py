@@ -336,6 +336,66 @@ def test_example_affine_golden_bytes(tmp_path):
     assert out.read_text() == AFFINE_GOLDEN
 
 
+# Written at the parent of the numpy formatting kernel, by its per-row templates.
+HL_GOLDEN = """\
+x,y,u,v,w,alpha,status
+-1,-1,0.6435942529055827,-1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+-1,0,0,0,0,0,skipped_y0
+-1,1,-0.6435942529055827,-1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+0,-1,0.78615137775742328,0,0.61803398874989479,0.61803398874989479,ok
+0,0,0,0,0,0,skipped_y0
+0,1,-0.78615137775742328,0,0.61803398874989479,0.61803398874989479,ok
+1,-1,0.6435942529055827,1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+1,0,0,0,0,0,skipped_y0
+1,1,-0.6435942529055827,1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+"""
+
+JOYCE_GOLDEN = """\
+s,coefficient,closed_form
+0,1.3999999999999999,1.3999999999999999
+0.33333333333333331,1.8147543451754933,1.8147543451754933
+0.66666666666666663,2.1509687739868903,2.1509687739868903
+1,2.4413111231467406,2.4413111231467406
+"""
+
+WIND_GOLDEN = """\
+x,y,f1,f2,cumulative_angle
+0.27500000000000002,0.125,0.12,0.20000000000000001,0.47886059102746664
+0.15784271247461906,0.40784271247461901,0.026274169979695228,0.42627416997969519,0.90759333408880316
+-0.12499999999999997,0.52500000000000002,-0.19999999999999998,0.52000000000000002,1.3258176636680323
+-0.40784271247461901,0.40784271247461906,-0.42627416997969519,0.42627416997969525,1.7440419932472615
+-0.52500000000000002,0.12500000000000006,-0.52000000000000002,0.20000000000000007,2.1727747363085981
+-0.40784271247461906,-0.15784271247461901,-0.42627416997969525,-0.0262741699796952,2.6516353273360647
+-0.12500000000000008,-0.27500000000000002,-0.20000000000000007,-0.12,4.4674103172578246
+0.15784271247461895,-0.15784271247461906,0.026274169979695144,-0.026274169979695228,6.2831853071795871
+"""
+
+
+def test_example_hl_golden_bytes_with_skipped_rows(tmp_path):
+    out = tmp_path / "hl.csv"
+    assert main(["example", "hl", "--a", "1,0", "--b", "0", "--domain=-1,1,-1,1",
+                 "--nx", "3", "--ny", "3", "--out", str(out)]) == 0
+    assert out.read_text() == HL_GOLDEN
+
+
+def test_example_joyce_golden_bytes(tmp_path, capsys):
+    out = tmp_path / "joyce.csv"
+    assert main(["example", "joyce", "--a", "0.7", "--s-max", "1", "--s-count", "4",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == JOYCE_GOLDEN
+    assert capsys.readouterr().out == "max_deviation=0\n"
+
+
+def test_wind_trace_golden_bytes(tmp_path):
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    u1, v1 = write_affine_fields(tmp_path, 1.0, 0.0, 0.0, dom=dom, tag="1")
+    u2, v2 = write_affine_fields(tmp_path, 0.2, 0.1, -0.1, dom=dom, tag="2")
+    out = tmp_path / "wind.csv"
+    assert main(["wind", "--u1", str(u1), "--v1", str(v1), "--u2", str(u2), "--v2", str(v2),
+                 "--center=-0.125,0.125", "--radius", "0.4", "--samples", "8", "--out", str(out)]) == 0
+    assert out.read_text() == WIND_GOLDEN
+
+
 def test_example_hl_rows_satisfy_invariants(tmp_path):
     out = tmp_path / "hl.csv"
     code = main([
@@ -555,6 +615,24 @@ def test_wind_zero_on_loop_exit1(tmp_path):
         "--u1", str(u1), "--v1", str(v1), "--u2", str(u1), "--v2", str(v1),
         "--center", "0,0", "--radius", "0.4",
     ]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--radius", "0", "--radius must be finite and > 0, got 0.0"),
+     ("--radius", "-0.2", "--radius must be finite and > 0, got -0.2"),
+     ("--radius", "nan", "--radius must be finite and > 0, got nan"),
+     ("--samples", "-5", "--samples must be >= 8, got -5"),
+     ("--samples", "7", "--samples must be >= 8, got 7")],
+)
+def test_wind_refuses_an_impossible_circle_exit1(tmp_path, capsys, flag, value, message):
+    argv = _field_argv(tmp_path, "wind", None)
+    if flag == "--radius":
+        argv[argv.index("--radius") + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # --- configs without [boundary] ------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Golden bytes of the field and sample CSV and VTK writers.
+"""Golden bytes of the field and sample CSV and VTK writers, and the float
+formatting kernel against '%.17g'.
 
 The expected text pins the format: header, node-major row order, and 17
 significant digits, so that every value re-reads bit for bit.
 """
 
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slfold import fieldio
 from slfold.branch import params_from_levels
 from slfold.embedding import sample_fields
 from slfold.fieldio import (
@@ -14,6 +21,7 @@ from slfold.fieldio import (
     write_field_csv,
     write_field_vtk,
     write_points_vtk,
+    write_rows_csv,
     write_samples_csv,
 )
 from slfold.grid import GridDomain, ScalarField2D
@@ -160,3 +168,103 @@ def test_read_field_csv_rejects_short_or_missing_rows(tmp_path, text):
     (tmp_path / "f.csv").write_text(text)
     with pytest.raises(ValueError):
         read_field_csv(tmp_path / "f.csv")
+
+
+# --- the float kernel against '%.17g' ------------------------------------------------
+
+def _kernel_lines(x: np.ndarray) -> list[str]:
+    return b"".join(fieldio._table_bytes([np.asarray(x, dtype=float)], ",")).decode().splitlines()
+
+
+def _assert_matches_percent(x) -> None:
+    got = _kernel_lines(x)
+    want = ["%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+    assert len(got) == len(want)
+    assert [(w, g) for w, g in zip(want, got) if w != g] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_percent_on_raw_bit_patterns(bits):
+    # every 64-bit pattern: NaNs, infinities, subnormals and both zeros included
+    _assert_matches_percent(np.array(bits, dtype=np.uint64).view(float))
+
+
+def _edge_values() -> np.ndarray:
+    values = [0.0, 5e-324, 1e16, 1e17, 1e20, 1 + 2**-17, 1 + 3 * 2**-17]
+    values += [2.0**k for k in range(-1074, 1024)]
+    for k in range(-320, 309):
+        v = float(f"1e{k}")
+        values += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    values += [float(2**53 + k) for k in range(-8, 9)]  # odd offsets round to even ones
+    values += [float(10**17 + k) for k in range(-64, 65, 4)]
+    values += [math.nan, math.inf]
+    values += np.linspace(-1.0, 1.0, 65).tolist()
+    edge = np.array(values)
+    return np.concatenate([edge, -edge])
+
+
+def test_kernel_matches_percent_on_edge_values():
+    _assert_matches_percent(_edge_values())
+
+
+def test_kernel_edge_values_include_ties_and_exponent_switches():
+    # 1 + 2^-17 is an exact 17-digit tie, rounded to even by '%'
+    assert _kernel_lines([1 + 2**-17, 1e16, 1e17, 1e-4, 1e-5, 5e-324, -0.0]) == [
+        "1.0000076293945312", "10000000000000000", "1e+17", "0.0001", "1.0000000000000001e-05",
+        "4.9406564584124654e-324", "-0",
+    ]
+
+
+def _template_rows_csv(header, rows, path):
+    """The row-template writer the CSV tables used before the kernel, kept as the reference."""
+    lines = [",".join(header)]
+    template = None
+    for row in rows:
+        if template is None:
+            template = ",".join("%s" if isinstance(cell, str) else "%.17g" for cell in row)
+        lines.append(template % tuple(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _compare_with_template(tmp_path, header, columns):
+    cells = [c.astype(str).tolist() if c.dtype.kind == "S" else c.tolist() for c in columns]
+    _template_rows_csv(header, zip(*cells), tmp_path / "template.csv")
+    write_rows_csv(header, columns, tmp_path / "kernel.csv")
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
+
+
+BLOCK_OF_5 = fieldio._BLOCK_CELLS // 5  # rows per block of a table of 5 columns
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, BLOCK_OF_5, 2 * BLOCK_OF_5 + 7])
+def test_mixed_tables_match_the_row_template_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    status = np.array(["ok", "skipped_y0", "degenerate", "underflow"], dtype="S")[rng.integers(0, 4, rows)]
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300])
+    columns = [
+        rng.normal(size=rows),
+        status,
+        rng.normal(size=rows) * 10.0 ** rng.integers(-30, 30, rows),
+        specials[rng.integers(0, len(specials), rows)],
+        status[::-1].copy(),
+    ]
+    _compare_with_template(tmp_path, ("a", "status", "b", "c", "again"), columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(width=64), st.sampled_from(["ok", "degenerate", "x"]), st.floats()),
+             max_size=20)
+)
+def test_mixed_rows_match_the_row_template_writer(tmp_path_factory, rows):
+    a, labels, b = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    columns = [np.array(a, dtype=float), np.array(labels, dtype="S"), np.array(b, dtype=float)]
+    _compare_with_template(tmp_path_factory.mktemp("rows"), ("a", "label", "b"), columns)
+
+
+def test_a_two_dimensional_column_is_several_adjacent_columns(tmp_path):
+    table = np.arange(12.0).reshape(4, 3) / 7
+    write_rows_csv("pqr", [table], tmp_path / "block.csv")
+    write_rows_csv("pqr", list(table.T), tmp_path / "columns.csv")
+    assert (tmp_path / "block.csv").read_text() == (tmp_path / "columns.csv").read_text()

@@ -1,5 +1,6 @@
 """AST scans: every imported name is used, no private name in src/ is left
-unread, and no comment or docstring in src/ names a private name that is gone.
+unread, no comment or docstring in src/ names a private name that is gone, and
+no code in src/ but ``fieldio.fmt`` spells the ``.17g`` float format.
 
 The import scan covers src/, scripts/ and tests/.  Package ``__init__.py``
 files are skipped (their imports are re-exports), and so is
@@ -7,7 +8,9 @@ files are skipped (their imports are re-exports), and so is
 ``_name`` of src/ that no src/ file reads, such as a kernel left behind when
 its callers moved to a shared copy.  The prose scan flags a ``_name`` in a
 comment or docstring of src/ that no src/ file defines, such as a helper
-that was deleted while the text describing it stayed.
+that was deleted while the text describing it stayed.  The format scan keeps
+one path for writing floats: the numpy kernel of ``fieldio``, with ``fmt`` as
+its fallback for the cells it leaves to ``%``.
 """
 
 import ast
@@ -132,6 +135,44 @@ def test_scan_flags_prose_naming_deleted_names():
 
 
 def test_prose_in_src_names_only_defined_private_names():
-    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
-    defined = set().union(*map(defined_names, sources))
+    files = sorted((ROOT / "src").rglob("*.py"))
+    sources = [p.read_text() for p in files]
+    # a module, private ones included, is defined by its file
+    defined = set().union(*map(defined_names, sources), (p.stem for p in files))
     assert set().union(*map(prose_private_names, sources)) - defined == set()
+
+
+def float_format_spellings(source: str, allowed: str = "") -> list[int]:
+    """Lines of string constants (f-string format specs included) that contain
+    '.17g', outside docstrings and outside the module-level function `allowed`."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            skip.add(id(body[0].value))  # a docstring, or a bare string statement
+        if isinstance(node, ast.FunctionDef) and node.name == allowed and node in tree.body:
+            skip.update(id(inner) for inner in ast.walk(node))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and ".17g" in node.value and id(node) not in skip})
+
+
+def test_scan_flags_float_format_spellings():
+    source = (
+        '"""Writes x as \'%.17g\' % x would."""\n'
+        'def fmt(x):\n    return format(x, ".17g")\n'
+        'def row(x, y):\n    """Not \'%.17g %.17g\'."""\n    return "%.17g %.17g" % (x, y)\n'
+        'def cell(x):\n    return f"{x:.17g}"\n'
+    )
+    assert float_format_spellings(source, allowed="fmt") == [6, 8]
+    assert float_format_spellings(source) == [3, 6, 8]
+
+
+def test_only_fieldio_fmt_spells_the_float_format():
+    found = {
+        str(p.relative_to(ROOT)): lines
+        for p in sorted((ROOT / "src").rglob("*.py"))
+        if (lines := float_format_spellings(p.read_text(), "fmt" if p.name == "fieldio.py" else ""))
+    }
+    assert found == {}

@@ -163,6 +163,22 @@ def test_difference_trace_matches_fields():
     assert np.allclose(trace.values, trace.points, atol=1e-12)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.2, float("nan"), float("inf")])
+def test_difference_trace_refuses_a_circle_that_is_not_one(radius):
+    u1, v1 = affine_fields(AffineSolution(1.0, 0.0, 0.0), DOM)
+    u2, v2 = affine_fields(AffineSolution(0.0, 0.0, 0.0), DOM)
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        difference_trace(u1, v1, u2, v2, (0.2, -0.1), radius, 16)
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 7])
+def test_difference_trace_counts_the_samples_it_was_given(samples):
+    u1, v1 = affine_fields(AffineSolution(1.0, 0.0, 0.0), DOM)
+    u2, v2 = affine_fields(AffineSolution(0.0, 0.0, 0.0), DOM)
+    with pytest.raises(UnderSampledError, match=f"got {samples}$"):
+        difference_trace(u1, v1, u2, v2, (0.2, -0.1), 0.4, samples)
+
+
 def test_interp_is_elementwise_and_exact_on_bilinear_data(rng):
     dom = GridDomain(-1.3, 0.7, -0.2, 2.0, 7, 9)
 
