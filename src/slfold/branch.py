@@ -109,8 +109,8 @@ def _branch_t(params: ReductionParams, s):
     from the least of s^(1/(n-1)) and the (s/Q_j)^(1/j) of params.bounds, padded.
     Stopped entries are frozen by arithmetic on a mask, so a float takes an array
     entry's steps.  Raises NegativeSError for s < 0, BranchOverflowError when P
-    is not finite at the start for a finite s (no later P is larger), and
-    NoConvergenceError when the step budget runs out.
+    is not finite at the start (no later P is larger) or the P' returned is not
+    finite for a finite s, and NoConvergenceError when the step budget runs out.
     """
     if np.count_nonzero(s < 0):
         raise NegativeSError(f"s must be >= 0, got {np.min(s)}")
@@ -132,6 +132,8 @@ def _branch_t(params: ReductionParams, s):
         # the step no longer moves t or the rounded product (gradual underflow)
         moving = (p - s > 0.0) & (t - step != t) & (p != p_last)
         if not np.count_nonzero(moving):
+            if np.count_nonzero(~np.isfinite(dp) & np.isfinite(s)):
+                raise BranchOverflowError(f"P'(w0 + t) overflows (largest shift {max(params.shifts):.3e})")
             return t, dp
         t, p_last = t - step * moving, p
     raise NoConvergenceError(_MAX_NEWTON, float(np.max(abs(p - s))))

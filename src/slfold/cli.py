@@ -113,6 +113,7 @@ def cmd_solve(args) -> int:
         "iterations": sol.iterations,
         "final_residual": sol.final_residual,
         "ellipticity_margin": sol.ellipticity_margin,
+        "ellipticity_bound": sol.ellipticity_bound,
         "grid": {"nx": cfg.domain.nx, "ny": cfg.domain.ny},
         "params": {"n": cfg.params.n, "a": list(cfg.params.a)},
         "tolerance": cfg.solver.tolerance,

@@ -12,7 +12,7 @@ class NegativeSError(SlfoldError, ValueError):
 
 
 class BranchOverflowError(SlfoldError):
-    """P overflows at the start of the branch Newton: the shifts are too large for floats."""
+    """P at the start of the branch Newton, or P' at its root, overflows: the shifts are too large for floats."""
 
 
 class DegenerateBranchError(SlfoldError):
@@ -24,11 +24,12 @@ class DomainMismatchError(SlfoldError, ValueError):
 
 
 class SingularParametersError(SlfoldError):
-    """min(a_j) has multiplicity > 1; the nonsingular solver refuses."""
+    """min(a_j) is attained more than once on a domain whose closure meets y = 0, where P'(w)
+    vanishes, or whose a-priori ellipticity bound is below the floor."""
 
 
 class DegeneracyEncounteredError(SlfoldError):
-    """The ellipticity coefficient fell below the configured floor."""
+    """The a-priori lower bound on the ellipticity coefficient is not positive or is below the floor."""
 
 
 class NoConvergenceError(SlfoldError):

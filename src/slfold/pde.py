@@ -16,6 +16,7 @@ interpolation where the grids nest.  The smoother's batched tridiagonal
 line systems are solved by parallel cyclic reduction, in ceil(log2 L)
 vector steps for lines of L unknowns; they are factored once per level and
 V-cycle, since the frozen coefficient fixes them for the whole cycle.
+Ellipticity is checked once, against an a-priori bound on every iterate.
 """
 
 from __future__ import annotations
@@ -48,15 +49,17 @@ class SolverConfig:
     ellipticity_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if np.isnan(self.ellipticity_floor):
+            raise ValueError("ellipticity_floor must not be nan")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
-    """Converged potential f with derived derivative fields u, v."""
+    """Converged f with u = f_y, v = f_x, its least interior P'(w) and the a-priori bound on it."""
 
     f: ScalarField2D
     u: ScalarField2D
@@ -64,6 +67,7 @@ class PdeSolution:
     iterations: int
     final_residual: float
     ellipticity_margin: float
+    ellipticity_bound: float
 
 
 def central_differences(values: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
@@ -116,17 +120,13 @@ def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarFi
 
 def residual_potential(params: ReductionParams, f: ScalarField2D) -> ScalarField2D:
     """D_xx f + P'(w) D_yy f at interior nodes, coefficient from D_x f."""
-    dom = f.domain
+    coef = _interior_coefficient(params, f.values, f.domain)
     out = np.zeros_like(f.values)
-    out[1:-1, 1:-1] = _potential_residual_interior(
-        params, f.values, dom, _interior_coefficient(params, f.values, dom)
-    )
-    return ScalarField2D(dom, out)
+    out[1:-1, 1:-1] = _potential_residual_interior(f.values, f.domain, coef)
+    return ScalarField2D(f.domain, out)
 
 
-def _potential_residual_interior(
-    params: ReductionParams, f: np.ndarray, domain: GridDomain, coef: np.ndarray
-) -> np.ndarray:
+def _potential_residual_interior(f: np.ndarray, domain: GridDomain, coef: np.ndarray) -> np.ndarray:
     hx2, hy2 = domain.hx**2, domain.hy**2
     fxx = (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hx2
     fyy = (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hy2
@@ -319,28 +319,30 @@ def solve_dirichlet(
 ) -> PdeSolution:
     """Solve f_xx + P'(w) f_yy = 0 with Dirichlet data phi.
 
-    Requires min(a_j) of multiplicity one so the coefficient stays bounded
-    away from zero.  Boundary nodes carry phi exactly.  Each iteration runs
-    one multigrid V-cycle on the correction equation with the coefficient
-    frozen, then backtracks the step until the RMS residual decreases;
-    iterations counts the V-cycles.
+    F(s) = P'(w(s)) is nondecreasing up to (n-1) eps relative rounding, and
+    s = f_x^2 + y^2 >= y^2: every iterate's coefficient is at least
+    m = F(min y^2 over the closed domain).  Unless m > 0 and m >= the floor,
+    SingularParametersError (min(a_j) attained more than once, so m = 0 where
+    the domain meets y = 0) or else DegeneracyEncounteredError refuses the
+    solve.  Boundary nodes carry phi exactly.  Each iteration runs one
+    multigrid V-cycle on the correction equation with the coefficient frozen,
+    then backtracks the step until the RMS residual decreases; iterations
+    counts the V-cycles.
     """
-    if params.min_multiplicity > 1:
-        raise SingularParametersError(
-            "min(a_j) has multiplicity > 1; the nonsingular Dirichlet solver does not apply"
-        )
     if phi.domain != domain:
         raise DomainMismatchError("boundary data was built for a different domain")
+    y_min = 0.0 if domain.y0 <= 0.0 <= domain.y1 else min(abs(domain.y0), abs(domain.y1))
+    bound = float(ellipticity_array(params, y_min**2))
+    if not (bound > 0.0 and bound >= cfg.ellipticity_floor):
+        refusal = f"the a-priori bound P'(w) >= {bound:.3e} must be > 0 and >= floor {cfg.ellipticity_floor:.0e}"
+        if params.min_multiplicity > 1:
+            raise SingularParametersError(f"min(a_j) has multiplicity > 1: {refusal}")
+        raise DegeneracyEncounteredError(refusal)
 
     def state(fa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Fresh coefficient, residual and RMS residual of an iterate."""
         coef = _interior_coefficient(params, fa, domain)
-        low = float(coef.min())
-        if low < cfg.ellipticity_floor:
-            raise DegeneracyEncounteredError(
-                f"P'(w) = {low:.3e} fell below floor {cfg.ellipticity_floor:.0e}"
-            )
-        res = _potential_residual_interior(params, fa, domain, coef)
+        res = _potential_residual_interior(fa, domain, coef)
         return coef, res, float(np.sqrt(np.mean(res * res)))
 
     f = transfinite_interpolant(phi)
@@ -362,12 +364,5 @@ def solve_dirichlet(
         f, coef, res, rms = trial, trial_coef, trial_res, trial_rms
 
     field = ScalarField2D(domain, f)
-    u, v = recover_uv(field)
-    return PdeSolution(
-        f=field,
-        u=u,
-        v=v,
-        iterations=cycles,
-        final_residual=residual,
-        ellipticity_margin=float(coef.min()),
-    )
+    return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=residual,
+                       ellipticity_margin=float(coef.min()), ellipticity_bound=bound)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slfold import branch
@@ -197,8 +197,18 @@ def test_branch_overflow_at_the_start_raises(s):
         branch_w_array(params, np.array([0.0, s]))
     with pytest.raises(BranchOverflowError):
         ellipticity_array(params, np.array([s, s]))
-    # s = 0 is solved exactly: P(w0) = 0 does not overflow
-    assert solve_branch(params, 0.0).w == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_branch_refuses_an_overflowing_p_prime():
+    # at s = 0, P(w0) = 0 is finite but P'(w0) = (2.9e243)^4 is not
+    params = params_from_levels(OVERFLOWING_SHIFTS)
+    with pytest.raises(BranchOverflowError, match="P'"):
+        solve_branch(params, 0.0)
+    with pytest.raises(BranchOverflowError, match="P'"):
+        ellipticity_array(params, np.array([0.0, 0.0]))
+    with pytest.raises(BranchOverflowError, match="P'"):
+        branch_w_array(params, np.zeros(3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -242,6 +252,32 @@ def test_branch_relative_defect_and_monotone_t(params, exponents, mantissa):
     normal = np.all(np.minimum(factors, partial) >= np.finfo(float).tiny, axis=1)
     defect = np.abs(partial[:, -1] - s)[normal] / s[normal]
     assert np.all(defect <= 2 * (params.n - 1) * np.finfo(float).eps)
+
+
+# Newton's stop leaves t, and so F(s) = P'(w(s)), a few ulps off the root: at these
+# levels and s (found by random probes), the next float up gives an F smaller by
+# 2 ulps (n = 5) and by 6 ulps, 1.05 (n-1) eps relative (n = 6)
+_ULP_DIPS = [
+    ((0.026582672413131284, 0.026547293143773718, 0.0, 0.030307713187428392), 2.0529270899119424e-05),
+    ((0.2470626275232354, 0.0, 0.0, 0.0, 0.0), 0.004768750055646255),
+]
+
+
+@given(_spread_levels(), st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=20),
+       st.integers(1, 3))
+@example(params_from_levels(_ULP_DIPS[0][0]), [math.log10(_ULP_DIPS[0][1])], 1)
+@example(params_from_levels(_ULP_DIPS[1][0]), [math.log10(_ULP_DIPS[1][1])], 1)
+@settings(max_examples=100, deadline=None)
+def test_coefficient_is_monotone_up_to_rounding(params, exponents, ulps):
+    # F(s') >= F(s) (1 - 2(n-1) eps) for s' >= s, also for adjacent floats: solve_dirichlet
+    # checks the coefficient once, at the least s of the domain, on this property
+    s = 10.0 ** np.array(exponents)
+    above = s.copy()
+    for _ in range(ulps):
+        above = np.nextafter(above, np.inf)
+    s = np.sort(np.concatenate([s, above]))
+    f = ellipticity_array(params, s)
+    assert np.all(f >= np.maximum.accumulate(f) * (1 - 2 * (params.n - 1) * np.finfo(float).eps))
 
 
 def test_p_and_p_prime_on_arrays_equal_scalar_calls(rng):

@@ -12,7 +12,7 @@ from slfold.cli import main
 from slfold.errors import NonpositiveAlphaError
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
-from slfold.grid import GridDomain, ScalarField2D, boundary_indices
+from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
 
 CONFIG = """
 [params]
@@ -109,6 +109,44 @@ def test_solve_exits_3_when_min_a_is_attained_twice(n, data):
         path = pathlib.Path(tmp) / "run.toml"
         path.write_text(text.replace("n = 3", f"n = {n}"))
         assert main(["solve", "--config", str(path), "--out", str(pathlib.Path(tmp) / "o")]) == 3
+
+
+def singular_config(dom, floor=1e-10):
+    """Levels a = (0, 0) on dom, inline boundary x^2 - y^2/2 + 0.3xy, the given floor."""
+    values = BoundaryData.from_function(dom, lambda x, y: x**2 - y**2 / 2 + 0.3 * x * y).values
+    return (config_on(dom).replace("a = [1.0, -1.0]", "a = [0.0, 0.0]")
+            .replace('kind = "affine"\ncoefficients = [1.5, 0.5, -0.5]',
+                     f'kind = "inline"\nvalues = [{", ".join(map(repr, values.tolist()))}]')
+            .replace("tolerance = 1e-10", f"tolerance = 1e-10\nellipticity_floor = {floor!r}"))
+
+
+def test_solve_singular_levels_off_y_zero(tmp_path, capsys):
+    path = tmp_path / "run.toml"
+    path.write_text(singular_config(GridDomain(-1.0, 1.0, 0.2, 1.4, 17, 17)))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["ellipticity_bound"] == 0.4 <= report["ellipticity_margin"]
+    assert capsys.readouterr().out.startswith("solved: iterations=")
+
+
+@pytest.mark.parametrize("dom, floor", [
+    (GridDomain(-1.0, 1.0, -1.0, 1.0, 33, 33), 1e-10),
+    (GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 18), 1e-10),  # no node at y = 0
+    (GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 17), 0.0),
+    (GridDomain(-1.0, 1.0, -1.4, -0.2, 17, 17), 1.0),  # below y = 0: the bound 0.4 < floor
+])
+def test_solve_singular_levels_refused_exit3(tmp_path, capsys, dom, floor):
+    path = tmp_path / "run.toml"
+    path.write_text(singular_config(dom, floor))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "singular parameters: min(a_j) has multiplicity > 1" in capsys.readouterr().err
+
+
+def test_solve_nan_ellipticity_floor_exit1(tmp_path, capsys):
+    path = tmp_path / "run.toml"
+    path.write_text(singular_config(GridDomain(-1.0, 1.0, 0.2, 1.4, 17, 17), float("nan")))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "ellipticity_floor must not be nan" in capsys.readouterr().err
 
 
 def test_solve_branch_out_of_steps_exit2(tmp_path, cfg_path, monkeypatch, capsys):

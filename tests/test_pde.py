@@ -240,6 +240,66 @@ def test_dirichlet_deterministic():
     assert a.iterations == b.iterations
 
 
+# --- singular levels away from y = 0 ---------------------------------------------
+
+# Joyce's singular n = 3 case a = (0, 0): F(s) = 2 sqrt(s), so F >= 2 y0 = 0.4 here
+SINGULAR = params_from_levels((0.0, 0.0))
+SADDLE = lambda x, y: x**2 - y**2 / 2 + 0.3 * x * y
+
+
+def solve_upper(params, nodes):
+    dom = GridDomain(-1.0, 1.0, 0.2, 1.4, nodes, nodes)
+    return solve_dirichlet(params, dom, BoundaryData.from_function(dom, SADDLE))
+
+
+def test_singular_levels_solve_off_y_zero_at_second_order():
+    sols = [solve_upper(SINGULAR, nodes) for nodes in (17, 33, 65)]
+    for sol in sols:
+        assert sol.ellipticity_bound == 0.4 and sol.ellipticity_margin >= 0.4
+    f17, f33, f65 = (sol.f.values for sol in sols)
+    ratio = np.abs(f17 - f33[::2, ::2]).max() / np.abs(f33 - f65[::2, ::2]).max()
+    assert 3.5 <= ratio <= 4.5
+
+
+def test_nearby_nonsingular_solves_differ_at_order_eps_squared():
+    # F(s) = 2 sqrt(s + eps^2) for a = (eps, -eps): the solves approach the eps = 0 one
+    f0 = solve_upper(SINGULAR, 17).f.values
+    gaps = [np.abs(solve_upper(params_from_levels((eps, -eps)), 17).f.values - f0).max() / eps**2
+            for eps in (1e-1, 1e-2, 1e-3)]
+    assert max(gaps) < 1.1 * min(gaps)
+
+
+@st.composite
+def _cli_shaped_problem(draw):
+    """n = 3...5 with min(a) attained k times, a domain above y = 0 and trig plus quadratic data."""
+    n = draw(st.integers(3, 5))
+    k = draw(st.integers(1, n - 1))
+    low = draw(st.floats(-2.0, 2.0))
+    others = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1 - k, max_size=n - 1 - k))
+    params = params_from_levels(draw(st.permutations([low] * k + [low + d for d in others])))
+    y0 = draw(st.floats(0.1, 1.0))
+    dom = GridDomain(-1.0, 1.0, y0, y0 + draw(st.floats(0.5, 2.0)), 17, 17)
+    c = draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+    fn = lambda x, y: c[0] * np.sin(c[1] * x + c[2] * y) + c[3] * x * y + c[4] * x**2 + c[5] * y
+    return params, dom, BoundaryData.from_function(dom, fn)
+
+
+@given(_cli_shaped_problem())
+@settings(max_examples=25, deadline=None)
+def test_solver_obeys_the_maximum_principle_and_the_a_priori_bound(problem):
+    params, dom, phi = problem
+    try:
+        sol = solve_dirichlet(params, dom, phi)
+    except NoConvergenceError:
+        return  # spread levels can stall the Picard loop above the tolerance
+    # f + r (x - xc)^2 / 2 is discretely subharmonic for |residual| <= r
+    slack = sol.final_residual * ((dom.x1 - dom.x0) / 2) ** 2 / 2
+    assert phi.values.min() - slack <= sol.f.values.min()
+    assert sol.f.values.max() <= phi.values.max() + slack
+    eps = np.finfo(float).eps
+    assert sol.ellipticity_margin >= sol.ellipticity_bound * (1 - 2 * (params.n - 1) * eps)
+
+
 DOM33 = GridDomain(-1.0, 1.0, -1.0, 1.0, 33, 33)
 EXP_Y = lambda x, y: np.exp(2 * x) * y
 SIN_CUBE = lambda x, y: np.sin(3 * x) + y**3
@@ -408,7 +468,13 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(tolerance=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="ellipticity_floor"):
+        SolverConfig(ellipticity_floor=float("nan"))
+    # a floor <= 0 is allowed: the a-priori bound must be > 0 all the same
+    assert SolverConfig(ellipticity_floor=-1.0).ellipticity_floor == -1.0
 
 
 def test_scalar_field_validation():
