@@ -25,6 +25,7 @@ from .errors import (
 )
 from .families import HLConfig, hl_triples, joyce_check
 from .fieldio import (
+    Records,
     fmt,
     parse_projection,
     read_field_csv,
@@ -57,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget-omega", type=float, default=1e-6)
     p_verify.add_argument("--budget-im-omega", type=float, default=1e-6)
     p_verify.add_argument("--budget-gamma", type=float, default=1e-6)
-    p_verify.add_argument("--max-frames", type=int, default=200)
+    p_verify.add_argument("--max-frames", type=int, help="cap on the frames (default: every interior node)")
 
     p_ex = sub.add_parser("example", help="emit an explicit solution family as CSV")
     p_ex.add_argument("family", choices=["affine", "hl", "joyce"])
@@ -147,10 +148,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_frames < 1:
+    if args.max_frames is not None and args.max_frames < 1:
         raise ConfigError(f"--max-frames must be >= 1, got {args.max_frames}")
     cfg = load_config(args.config)
-    report = verify_fields(cfg.params, *_read_fields(cfg, args.u, args.v), args.max_frames)
+    u, v = _read_fields(cfg, args.u, args.v)
+    report = verify_fields(cfg.params, u, v, args.max_frames or u.values.size)
     budgets = {
         "first_order": args.budget_first_order,
         "omega": args.budget_omega,
@@ -172,7 +174,7 @@ def cmd_verify(args) -> int:
                 "argmax_im_omega": report.argmax_im_omega,
                 "max_gamma_deviation": report.max_gamma_deviation,
                 "max_fit_residual": report.max_fit_residual,
-                "points": [dict(zip(POINT_COLUMNS, row)) for row in report.points.tolist()],
+                "points": Records(POINT_COLUMNS, report.points),
                 "budgets": budgets,
             },
             args.report,

@@ -17,13 +17,19 @@ digits, the point and the exponent, and NUL bytes wherever a place is empty
 NULs.  ``fmt`` writes the non-finite cells and the cells whose scaled value
 lies within 1e-7 of a rounding tie.  ``_float17`` is imported by the first
 table written, so a command that writes none does not compile it.
+
+``write_json`` writes a top-level ``Records`` value from one C-encoder
+``json.dumps`` of its key-sorted floats (``indent`` would select the Python
+encoder), split on ``", "`` into a ``%`` template of the repeated row object;
+``read_xyv_rows`` converts all cells in one ``np.array(cells, dtype=float)``,
+which parses a string as ``float()`` does.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,13 +49,12 @@ def write_field_csv(field: ScalarField2D, path: str | Path, name: str = "value")
 
 def read_xyv_rows(path: str | Path) -> np.ndarray:
     """The x,y,value rows after a CSV's header line, as an (N, 3) array; ValueError otherwise."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or "," not in text[0]:
+    header, *rows = Path(path).read_text().strip().splitlines() or [""]
+    if "," not in header:
         raise ValueError(f"{path}: not an x,y,value CSV")
-    rows = [line.split(",") for line in text[1:]]
-    if any(len(r) != 3 for r in rows):
+    if any(line.count(",") != 2 for line in rows):
         raise ValueError(f"{path}: every row must be x,y,value")
-    return np.array([float(t) for r in rows for t in r]).reshape(-1, 3)
+    return np.array(",".join(rows).split(",") if rows else [], dtype=float).reshape(-1, 3)
 
 
 def read_field_csv(path: str | Path) -> ScalarField2D:
@@ -125,8 +130,26 @@ def write_points_vtk(cloud: SurfaceSamples, proj: list[tuple[str, int]], path: s
            _table_bytes(vertices, " "))
 
 
+class Records(NamedTuple):
+    """A float table that write_json writes as one {column: value} object per row."""
+
+    columns: Sequence[str]
+    rows: np.ndarray  # (N, len(columns))
+
+
 def write_json(obj: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline; a top-level Records value is
+    written as its list of row dicts would be (see the module docstring)."""
+    tables = {key: value for key, value in obj.items() if isinstance(value, Records)}
+    text = json.dumps({k: None if k in tables else v for k, v in obj.items()}, indent=2, sort_keys=True)
+    for key, (columns, rows) in tables.items():
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        entry = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %s" for k in order)
+        cells = json.dumps(rows[:, order].ravel().tolist())[1:-1].split(", ") if len(rows) else ()
+        body = ",\n".join([f"    {{\n{entry}\n    }}"] * len(rows)) % tuple(cells)
+        place = f"\n  {json.dumps(key)}: "
+        text = text.replace(place + "null", place + (f"[\n{body}\n  ]" if len(rows) else "[]"), 1)
+    Path(path).write_text(text + "\n")
 
 
 def write_rows_csv(header: Iterable[str], columns: Sequence[np.ndarray], path: str | Path) -> None:

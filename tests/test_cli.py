@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import tempfile
@@ -333,6 +334,46 @@ def test_verify_max_frames_below_one_exit1(tmp_path, cfg_path, capsys, value):
                  "--max-frames", value])
     assert code == 1
     assert f"config error: --max-frames must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_verify_checks_every_interior_frame_by_default(tmp_path, cfg_path):
+    # 17^2: 225 interior nodes; a cap of 200 takes every second one in each direction
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    frames = {}
+    for cap in ([], ["--max-frames", "200"]):
+        report = tmp_path / "verify.json"
+        assert main(["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp),
+                     "--report", str(report), *cap]) == 0
+        frames[len(cap)] = json.loads(report.read_text())["frames"]
+    assert frames == {0: 225, 2: 64}
+
+
+# sha256 of the report bytes, recorded with the writer that built one dict per
+# point; the rounding-level residuals come from LAPACK's SVD, so another LAPACK
+# build may need these recorded again with that writer
+VERIFY_REPORT_SHA256 = {
+    0: "63402a2744411438cf2b5e705dbe15718f823e3424ab60647e27af4f46d44b63",
+    4: "88a35d65fea7a12e29abf7dd68031cc1f87f094bb17814c2c3ef8aa52a702b8a",
+}
+
+
+@pytest.mark.parametrize("perturbation, code", [(None, 0), (0.01, 4)])
+def test_verify_report_bytes_golden(tmp_path, perturbation, code):
+    # the affine pair at 9^2, n = 4, and the same pair with u + 0.01 x y
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    u, v = affine_fields(AffineSolution(1.5, 0.5, -0.5), dom)
+    if perturbation is not None:
+        x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+        u = ScalarField2D(dom, u.values + perturbation * x * y)
+    write_field_csv(u, tmp_path / "u.csv", name="u")
+    write_field_csv(v, tmp_path / "v.csv", name="v")
+    (tmp_path / "cfg.toml").write_text("[params]\nn = 4\na = [1.0, 0.25, -1.0]\n")
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(tmp_path / "cfg.toml"), "--u", str(tmp_path / "u.csv"),
+                 "--v", str(tmp_path / "v.csv"), "--report", str(report)]) == code
+    data = report.read_bytes()
+    assert data.decode() == json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(data).hexdigest() == VERIFY_REPORT_SHA256[code]
 
 
 # --- example -----------------------------------------------------------------------

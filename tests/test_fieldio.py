@@ -1,25 +1,29 @@
-"""Golden bytes of the field and sample CSV and VTK writers, and the float
-formatting kernel against '%.17g'.
+"""Golden bytes of the field and sample CSV and VTK writers, the float
+formatting kernel against '%.17g', JSON Records against json.dumps, and the
+field CSV reader on malformed files.
 
 The expected text pins the format: header, node-major row order, and 17
 significant digits, so that every value re-reads bit for bit.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slfold import fieldio
 from slfold.branch import params_from_levels
 from slfold.embedding import sample_fields
 from slfold.fieldio import (
+    Records,
     parse_projection,
     read_field_csv,
     write_field_csv,
     write_field_vtk,
+    write_json,
     write_points_vtk,
     write_rows_csv,
     write_samples_csv,
@@ -168,6 +172,63 @@ def test_read_field_csv_rejects_short_or_missing_rows(tmp_path, text):
     (tmp_path / "f.csv").write_text(text)
     with pytest.raises(ValueError):
         read_field_csv(tmp_path / "f.csv")
+
+
+def test_read_field_csv_rejects_rows_of_two_and_four_cells(tmp_path):
+    # six cells make two rows of three, but neither row has three
+    (tmp_path / "f.csv").write_text("x,y,value\n1,2\n3,4,5,6\n")
+    with pytest.raises(ValueError, match="every row must be x,y,value"):
+        read_field_csv(tmp_path / "f.csv")
+
+
+@pytest.mark.parametrize("text", [FIELD_CSV.replace("\n", "\r\n"), FIELD_CSV.rstrip("\n")])
+def test_read_field_csv_accepts_crlf_and_no_final_newline(tmp_path, text):
+    (tmp_path / "f.csv").write_bytes(text.encode())
+    (tmp_path / "lf.csv").write_text(FIELD_CSV)
+    got, want = read_field_csv(tmp_path / "f.csv"), read_field_csv(tmp_path / "lf.csv")
+    assert got.domain == want.domain
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+# --- JSON Records against json.dumps -------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _assert_records_dump(tmp_path, columns, rows, others):
+    obj = {"a": 1, **others, "points": Records(columns, rows), "zz": [0.5]}
+    write_json(obj, tmp_path / "r.json")
+    want = {**obj, "points": [dict(zip(columns, r)) for r in rows.tolist()]}
+    assert (tmp_path / "r.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _records(draw):
+    columns = draw(st.lists(st.text(max_size=3), min_size=1, max_size=7, unique=True))
+    width = len(columns)
+    rows = draw(st.lists(st.lists(st.floats(), min_size=width, max_size=width), max_size=12))
+    others = draw(st.dictionaries(st.text(max_size=8).filter(lambda k: k != "points"), _JSON_VALUES,
+                                  max_size=4))
+    return columns, np.array(rows, dtype=float).reshape(-1, width), others
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records())
+@example((["x", "%s", "b"], np.array([[math.nan, math.inf, -math.inf], [-0.0, 5e-324, 2.2e-308]]), {}))
+@example((["y", "x"], np.empty((0, 2)), {"points_": None, "pointa": {"points": None}}))
+def test_records_write_as_the_dict_list_json_dumps_writes(tmp_path_factory, case):
+    _assert_records_dump(tmp_path_factory.mktemp("json"), *case)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+def test_records_of_raw_bit_patterns_write_as_json_dumps_writes(tmp_path, rows):
+    bits = np.random.default_rng(rows).integers(0, 2**64, (rows, 6), dtype=np.uint64)
+    columns = ("x", "y", "omega", "im_omega", "gamma", "fit_residual")
+    _assert_records_dump(tmp_path, columns, bits.view(float), {"budgets": {"omega": 1e-6}, "frames": rows})
 
 
 # --- the float kernel against '%.17g' ------------------------------------------------

@@ -1,6 +1,7 @@
 """AST scans: every imported name is used, no private name in src/ is left
-unread, no comment or docstring in src/ names a private name that is gone, and
-no code in src/ but ``fieldio.fmt`` spells the ``.17g`` float format.
+unread, no comment or docstring in src/ names a private name that is gone,
+no code in src/ but ``fieldio.fmt`` spells the ``.17g`` float format, and no
+module of src/ but ``fieldio`` calls ``json.dump`` or ``json.dumps``.
 
 The import scan covers src/, scripts/ and tests/.  Package ``__init__.py``
 files are skipped (their imports are re-exports), and so is
@@ -10,7 +11,9 @@ its callers moved to a shared copy.  The prose scan flags a ``_name`` in a
 comment or docstring of src/ that no src/ file defines, such as a helper
 that was deleted while the text describing it stayed.  The format scan keeps
 one path for writing floats: the numpy kernel of ``fieldio``, with ``fmt`` as
-its fallback for the cells it leaves to ``%``.
+its fallback for the cells it leaves to ``%``.  The JSON scan keeps one JSON
+writer, ``fieldio.write_json``, whose ``Records`` path must stay byte-identical
+to ``json.dumps``.
 """
 
 import ast
@@ -174,5 +177,35 @@ def test_only_fieldio_fmt_spells_the_float_format():
         str(p.relative_to(ROOT)): lines
         for p in sorted((ROOT / "src").rglob("*.py"))
         if (lines := float_format_spellings(p.read_text(), "fmt" if p.name == "fieldio.py" else ""))
+    }
+    assert found == {}
+
+
+def json_dump_calls(source: str) -> list[int]:
+    """Lines that read json.dump or json.dumps, or import either from json."""
+    dumps = {"dump", "dumps"}
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if (
+        isinstance(node, ast.Attribute) and node.attr in dumps
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ) or (
+        isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in dumps for alias in node.names)
+    )})
+
+
+def test_scan_flags_json_dump_calls():
+    source = (
+        "import json\nfrom json import dumps as d, loads\n"
+        "def save(obj, f):\n    json.dump(obj, f)\n    return json.dumps(obj), json.loads('1')\n"
+        "text = 'json.dumps(x)'\n"
+    )
+    assert json_dump_calls(source) == [2, 4, 5]
+
+
+def test_only_fieldio_writes_json():
+    found = {
+        str(p.relative_to(ROOT)): lines
+        for p in sorted((ROOT / "src").rglob("*.py"))
+        if p.name != "fieldio.py" and (lines := json_dump_calls(p.read_text()))
     }
     assert found == {}
