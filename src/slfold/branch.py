@@ -102,6 +102,15 @@ def eval_p_prime(params: ReductionParams, w: float) -> float:
     return _p_and_dp(params.a, w)[1]
 
 
+def _t_upper(params: ReductionParams, s, zeros: int = 0):
+    """Least of s^(1/(n-1+zeros)) and the (s/Q_j)^(1/(j+zeros)) of params.bounds: >= the t with t^zeros P(w0 + t) = s."""
+    # np.power also on a float: float ** can differ from the array loop in the last bit
+    t = np.power(s, 1.0 / (params.n - 1 + zeros))
+    for j, q in params.bounds:
+        t = np.minimum(np.power(s, 1.0 / (j + zeros)) / q ** (1.0 / (j + zeros)), t)
+    return t
+
+
 def _branch_t(params: ReductionParams, s):
     """(t, P'(w0 + t)) with P(w0 + t) = s and t >= 0, for s a float or an array.
 
@@ -114,10 +123,7 @@ def _branch_t(params: ReductionParams, s):
     """
     if np.count_nonzero(s < 0):
         raise NegativeSError(f"s must be >= 0, got {np.min(s)}")
-    # np.power also on a float: float ** can differ from the array loop in the last bit
-    t = np.power(s, 1.0 / (params.n - 1))
-    for j, q in params.bounds:
-        t = np.minimum(np.power(s, 1.0 / j) / q ** (1.0 / j), t)
+    t = _t_upper(params, s)
     # a float runs the loop on Python floats, much faster than numpy scalars
     t, p_last = (t.item() if t.ndim == 0 else t) * (1.0 + 1e-9), np.nan
     for iteration in range(_MAX_NEWTON):

@@ -286,8 +286,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_wind(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    u1, v1, u2, v2 = _read_fields(cfg, args.u1, args.v1, args.u2, args.v2)
     try:
         cx, cy = (float(t) for t in args.center.split(","))
     except ValueError:
@@ -296,6 +294,8 @@ def cmd_wind(args) -> int:
         raise ConfigError(f"--radius must be finite and > 0, got {args.radius}")
     if args.samples < _MIN_SAMPLES:
         raise ConfigError(f"--samples must be >= {_MIN_SAMPLES}, got {args.samples}")
+    cfg = load_config(args.config) if args.config else None
+    u1, v1, u2, v2 = _read_fields(cfg, args.u1, args.v1, args.u2, args.v2)
     trace = difference_trace(u1, v1, u2, v2, (cx, cy), args.radius, args.samples)
     steps = angle_increments(trace)
     wind = winding_number(trace)

@@ -64,15 +64,7 @@ class YZeroError(SlfoldError, ValueError):
 
 
 class DegenerateRegionError(SlfoldError):
-    """P' <= 0 inside the solve bracket: uniqueness is not guaranteed.
-
-    ``sign_changes`` lists the (lo, hi) subintervals on which the constraint
-    function was observed to change sign.
-    """
-
-    def __init__(self, message: str, sign_changes: list[tuple[float, float]] | None = None):
-        super().__init__(message)
-        self.sign_changes = sign_changes or []
+    """At x = 0 the Harvey-Lawson root alpha = w(y^2) - b is not positive: no point of the subfamily."""
 
 
 class ZeroOnLoopError(SlfoldError):

@@ -12,6 +12,9 @@ import numpy as np
 
 from .branch import (
     ReductionParams,
+    _branch_t,
+    _p_and_dp,
+    _t_upper,
     branch_w_array,
     ellipticity_array,
     eval_p,
@@ -21,9 +24,8 @@ from .branch import (
 from .errors import DegenerateRegionError, NoConvergenceError, NonpositiveAlphaError, YZeroError
 from .grid import GridDomain, ScalarField2D
 
-# Step budgets of the HL root search: doublings (halvings) of the bracket
-# ends, and safeguarded Newton steps of the polish.
-_BRACKET_STEPS, _POLISH_STEPS = 600, 200
+_MAX_NEWTON = 100  # HL Newton steps; about 50 at most, where P(x^2 + b) matches y^2 to rounding
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 HL_STATUS = ("ok", "skipped_y0", "degenerate", "underflow")
 _OK, _SKIPPED_Y0, _DEGENERATE, _UNDERFLOW = range(len(HL_STATUS))
 
@@ -85,102 +87,65 @@ def hl_residual(cfg: HLConfig, x, y, alpha):
     return y * y * (1.0 + x * x / alpha) - eval_p(cfg.params, x * x + alpha + cfg.b)
 
 
-def _scan_sign_changes(cfg: HLConfig, x: float, y: float, lo: float, hi: float) -> list[tuple[float, float]]:
-    grid = np.geomspace(lo, hi, 128)
-    vals = hl_residual(cfg, x, y, grid)
-    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    return [(float(grid[i]), float(grid[i + 1])) for i in k]
+@np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+def hl_triples(cfg: HLConfig, x, y) -> HLColumns:
+    """(u, v, w, alpha, status) at the broadcast base points (x, y), in one array solve.
 
+    alpha > 0 is the root of hl_residual on the distinguished branch w = x^2 + alpha + b >= w0,
+    u = -sign(y) sqrt(alpha), v = -xy/u and w = x^2 + u^2 + b.  They are 0 where y = 0
+    ("skipped_y0"), where x = 0 and alpha = w(y^2) - b <= 0 ("degenerate") and where x^2 y^2
+    or the root alpha is below the normal float range ("underflow").
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _hl_solve(cfg: HLConfig, x, y) -> tuple[HLColumns, np.ndarray, np.ndarray]:
-    """hl_triples, and the bracket ends (lo, hi), flat, that degenerate nodes with x != 0 keep.
-
-    Each node takes the steps of a one-point search, as numpy ops over the nodes still searching.
+    For x != 0, H(alpha) = (P(w) - y^2) alpha - x^2 y^2 is increasing and convex where w >= w0 and
+    negative at alpha = max(0, w0 - x^2 - b): Newton descends onto its one root from a start with
+    H >= 0, as numpy ops over the nodes, or raises NoConvergenceError when its budget runs out.
     """
     p, b = cfg.params, cfg.b
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()
-    alpha, lo, hi = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    alpha = np.zeros(x.shape)
     status = np.where(y == 0.0, _SKIPPED_Y0, _OK)
     # the 1/alpha term drops at x = 0: y^2 = P(alpha + b) on the distinguished branch
     k = np.flatnonzero((x == 0.0) & (y != 0.0))
     alpha[k] = branch_w_array(p, y[k] * y[k]) - b
-    status[k[(alpha[k] <= 0.0) | (eval_p_prime(p, x[k] * x[k] + alpha[k] + b) <= 0.0)]] = _DEGENERATE
+    status[k[alpha[k] <= 0.0]] = _DEGENERATE
 
-    def residual(x, y, a):
-        return np.broadcast_to(hl_residual(cfg, x, y, a), a.shape)  # also when it is a scalar
-    def slope(x, y, a):
-        return -y * y * x * x / a**2 - eval_p_prime(p, x * x + a + b)
-    def bracket(end, factor, wrong_sign):
-        todo = np.arange(len(end))
-        for _ in range(_BRACKET_STEPS):
-            r = residual(xk[todo], yk[todo], end[todo])
-            todo = todo[wrong_sign(r)]
-            if not len(todo):
-                return end
-            end[todo] *= factor
-        raise NoConvergenceError(_BRACKET_STEPS, float(r[wrong_sign(r)][0]))
-
-    # the residual blows up to +oo as alpha -> 0+ (x != 0) and falls to -oo as alpha -> oo
+    # x != 0: P(w) = P(w0 + t) from the shifts at t = c + alpha, exact where c = x^2 + b - w0 is 0
     k = np.flatnonzero((x != 0.0) & (y != 0.0))
-    xk, yk = x[k], y[k]
-    bottom = np.minimum(1.0, yk * yk * xk * xk / (1.0 + np.abs(eval_p(p, xk * xk + 1.0 + b))))
-    # where x^2 y^2 underflows to 0, the root alpha < x^2 y^2 is below the float range
-    keep = bottom > 0.0
-    status[k[~keep]] = _UNDERFLOW
-    k, xk, yk, bottom = k[keep], xk[keep], yk[keep], bottom[keep]
-    hi[k] = top = bracket(np.ones(len(k)), 2.0, lambda r: ~(r < 0.0))
-    lo[k] = bottom = bracket(bottom, 0.5, lambda r: ~(r > 0.0))
-
-    # uniqueness: P' > 0 and a falling residual at np.geomspace(bottom, top, 20), probe by probe
-    log_lo = np.log10(bottom)
-    step = (np.log10(top) - log_lo) / 19
-    unique = np.ones(len(k), dtype=bool)
-    for j in range(20):
-        t = bottom if j == 0 else top if j == 19 else np.power(10.0, j * step + log_lo)
-        r = residual(xk, yk, t)
-        unique &= (eval_p_prime(p, xk * xk + t + b) > 0.0) & (j == 0 or last > r)
-        last = r
-    status[k[~unique]] = _DEGENERATE
-
-    # Newton, bisecting when a step leaves [lo, hi], until |r| <= 1e-10 (1 + y^2 + |P|)
-    certified = k = k[unique]
-    a = 0.5 * (lo[k] + hi[k])
-    for _ in range(_POLISH_STEPS):
-        xs, ys = x[k], y[k]
-        r = residual(xs, ys, a)
-        lo[k], hi[k], alpha[k] = np.where(r > 0.0, a, lo[k]), np.where(r < 0.0, a, hi[k]), a
-        live = ~(np.abs(r) <= 1e-10 * (1.0 + ys * ys + np.abs(eval_p(p, xs * xs + a + b))))
-        k, a, r = k[live], a[live], r[live]
-        if not len(k):
+    q = (x[k] * y[k]) ** 2
+    status[k[q < _TINY]] = _UNDERFLOW
+    k, q = k[q >= _TINY], q[q >= _TINY]
+    xx, yy = x[k] * x[k], y[k] * y[k]
+    c = xx + b - p.w0
+    # alpha P(w) >= max(2 y^2 alpha, 2 q), so H >= 0, where P(w) >= 2 y^2 and either alpha >= x^2
+    # or alpha - max(0, -c) >= t with t P(w0 + t) >= 2 q; the latter is tight where c is near 0
+    a = np.maximum(_branch_t(p, 2.0 * yy)[0] - c, np.minimum(xx, np.maximum(-c, 0.0) + _t_upper(p, 2.0 * q, 1)))
+    live = np.ones(len(k), dtype=bool)
+    for _ in range(_MAX_NEWTON):
+        pw, dp = _p_and_dp(p.shifts, c + a)
+        slope, h = dp * a + pw - yy, (pw - yy) * a - q
+        # a - H/H' without its cancellation, which rounds roots far below x^2 to 0
+        step = (dp * a * a + q) / slope
+        # a step from within the rounding of H (through P and c + a) is the last; a nan one never is
+        last = (h <= 2 * _EPS * (a * (pw + yy + dp * np.abs(c + a)) + q)) & (step < a)
+        # stopped at or below the root, where H' <= 0 or the step does not lower a; nan goes on
+        live &= ~((step >= a) | (slope <= 0.0))
+        a, live = np.where(live, step, a), live & ~last
+        if not np.count_nonzero(live):
             break
-        s = slope(x[k], y[k], a)
-        cand = np.where(s < 0.0, a - r / s, lo[k])
-        a = np.where((lo[k] < cand) & (cand < hi[k]), cand, 0.5 * (lo[k] + hi[k]))
     else:
-        raise NoConvergenceError(_POLISH_STEPS, float(r[0]))
-    k = certified
-    for _ in range(3):  # a few extra Newton steps push |r| to the rounding floor
-        cand = alpha[k] - residual(x[k], y[k], alpha[k]) / slope(x[k], y[k], alpha[k])
-        alpha[k] = np.where((lo[k] < cand) & (cand < hi[k]), cand, alpha[k])
+        raise NoConvergenceError(_MAX_NEWTON, float(np.max(np.abs(h[live]))))
+    alpha[k] = a
+    status[k[a < _TINY]] = _UNDERFLOW
+
     ok = status == _OK
     # the sign of u is forced by v x - u y = -y (x^2 + u^2)/u > 0
     u = np.where(ok, -np.copysign(np.sqrt(alpha), y), 0.0)
     v = np.where(ok, -x * y / u, 0.0)
-    w = np.where(ok, x * x + u * u + b, 0.0)
+    # the root has w > w0; the sum can round below it
+    w = np.where(ok, np.maximum(x * x + u * u + b, p.w0), 0.0)
     columns = (u, v, w, np.where(ok, alpha, 0.0), np.array(HL_STATUS, dtype=object)[status])
-    return HLColumns(*(c.reshape(shape) for c in columns)), lo, hi
-
-
-def hl_triples(cfg: HLConfig, x, y) -> HLColumns:
-    """(u, v, w, alpha, status) at the broadcast base points (x, y), in one array solve.
-
-    alpha > 0 is the root of hl_residual, u = -sign(y) sqrt(alpha), v = -xy/u and
-    w = x^2 + u^2 + b.  They are 0 where y = 0 ("skipped_y0"), where P' <= 0 on the root's
-    bracket may make it not unique ("degenerate") and where x^2 y^2 underflows ("underflow").
-    """
-    return _hl_solve(cfg, x, y)[0]
+    return HLColumns(*(col.reshape(shape) for col in columns))
 
 
 def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
@@ -189,17 +154,14 @@ def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
 
 
 def hl_triple(cfg: HLConfig, x: float, y: float) -> HLColumns:
-    """hl_triples at one point as floats; YZeroError, NonpositiveAlphaError or
-    DegenerateRegionError by status, the last with the residual's sign changes on the bracket.
-    """
-    cols, lo, hi = _hl_solve(cfg, x, y)
+    """hl_triples at one point as floats; YZeroError, NonpositiveAlphaError or DegenerateRegionError by status."""
+    cols = hl_triples(cfg, x, y)
     if cols.status == "skipped_y0":
         raise YZeroError("the constraint solve requires y != 0")
     if cols.status == "underflow":
-        raise NonpositiveAlphaError(f"x^2 y^2 underflows at ({x}, {y}); alpha is below the float range")
+        raise NonpositiveAlphaError(f"x^2 y^2 or alpha is below the normal float range at ({x}, {y})")
     if cols.status == "degenerate":
-        changes = _scan_sign_changes(cfg, x, y, lo[0], hi[0]) if x != 0.0 else None
-        raise DegenerateRegionError(f"no certified unique root alpha > 0 at ({x}, {y})", changes)
+        raise DegenerateRegionError(f"alpha = w(y^2) - b <= 0 on the branch at ({x}, {y})")
     return HLColumns(*(c.item() for c in cols))
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from slfold import branch, families
 from slfold.cli import main
+from slfold.embedding import lift_point
 from slfold.errors import NonpositiveAlphaError
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
@@ -415,18 +416,18 @@ def test_example_affine_golden_bytes(tmp_path):
     assert out.read_text() == AFFINE_GOLDEN
 
 
-# Written at the parent of the numpy formatting kernel, by its per-row templates.
+# Written by the monotone Newton: at (+-1, +-1) the root is alpha = sqrt(2) - 1.
 HL_GOLDEN = """\
 x,y,u,v,w,alpha,status
--1,-1,0.6435942529055827,-1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+-1,-1,0.64359425290558259,-1.5537739740300374,1.4142135623730949,0.41421356237309498,ok
 -1,0,0,0,0,0,skipped_y0
--1,1,-0.6435942529055827,-1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+-1,1,-0.64359425290558259,-1.5537739740300374,1.4142135623730949,0.41421356237309498,ok
 0,-1,0.78615137775742328,0,0.61803398874989479,0.61803398874989479,ok
 0,0,0,0,0,0,skipped_y0
 0,1,-0.78615137775742328,0,0.61803398874989479,0.61803398874989479,ok
-1,-1,0.6435942529055827,1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+1,-1,0.64359425290558259,1.5537739740300374,1.4142135623730949,0.41421356237309498,ok
 1,0,0,0,0,0,skipped_y0
-1,1,-0.6435942529055827,1.5537739740300371,1.4142135623730951,0.41421356237309509,ok
+1,1,-0.64359425290558259,1.5537739740300374,1.4142135623730949,0.41421356237309498,ok
 """
 
 JOYCE_GOLDEN = """\
@@ -455,6 +456,9 @@ def test_example_hl_golden_bytes_with_skipped_rows(tmp_path):
     assert main(["example", "hl", "--a", "1,0", "--b", "0", "--domain=-1,1,-1,1",
                  "--nx", "3", "--ny", "3", "--out", str(out)]) == 0
     assert out.read_text() == HL_GOLDEN
+    # 1 + 1/alpha = (1 + alpha)(2 + alpha) at x = y = 1
+    alpha = float(HL_GOLDEN.splitlines()[-1].split(",")[5])
+    assert abs(alpha - 0.41421356237309503) <= np.spacing(0.41421356237309503)
 
 
 def test_example_joyce_golden_bytes(tmp_path, capsys):
@@ -519,31 +523,51 @@ def test_example_hl_rows_are_hl_triple_x_outer(tmp_path):
 
 
 def test_example_hl_writes_degenerate_rows(tmp_path):
-    # head level -4: P' <= 0 on part of the root's bracket at |x| = 0.75
+    # head level -4: every node with y != 0 has one root on the branch w >= w0 = 4
     out = tmp_path / "hl.csv"
-    code = main([
-        "example", "hl", "--a=-4,0", "--b", "0",
-        "--domain=-1.5,1.5,-1.5,1.5", "--nx", "5", "--ny", "4", "--out", str(out),
-    ])
-    assert code == 0
+    argv = ["example", "hl", "--a=-4,0", "--b", "0", "--domain=-1.5,1.5,-1.5,1.5", "--nx", "5", "--ny", "4",
+            "--out", str(out)]
+    assert main(argv) == 0
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert len(rows) == 20
+    assert {row[-1] for row in rows} == {"ok"}
+    assert all(float(row[4]) >= 4.0 for row in rows)
+    # b = 5 puts alpha = w(y^2) - b below 0 at x = 0, the only degenerate nodes
+    argv[argv.index("--b") + 1] = "5"
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     degenerate = [row for row in rows if row[-1] == "degenerate"]
     assert {row[-1] for row in rows} == {"ok", "degenerate"}
-    assert {abs(float(row[0])) for row in degenerate} == {0.75}
+    assert {float(row[0]) for row in degenerate} == {0.0} and len(degenerate) == 4
     assert all(row[2:6] == ["0", "0", "0", "0"] for row in degenerate)
 
 
+def test_example_hl_negative_heads_stay_on_the_branch(tmp_path):
+    # the bracket search this kernel replaced wrote 20 ok rows here, 12 of them with w < w0 = 3.9233
+    out = tmp_path / "hl.csv"
+    assert main(["example", "hl", "--a=-0.7703,-2.3912,-3.9233,0", "--b=-0.088", "--nx", "9", "--ny", "9",
+                 "--domain=-1.5,1.5,-1.5,1.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    status = [row[-1] for row in rows]
+    assert (status.count("ok"), status.count("skipped_y0")) == (72, 9)
+    params = branch.params_from_levels((-0.7703, -2.3912, -3.9233, 0.0))
+    for row in rows:
+        if row[-1] == "ok":
+            x, y, u, v, w, alpha = (float(c) for c in row[:6])
+            assert w >= params.w0 and min(w + aj for aj in params.a) >= 0.0
+            assert abs(lift_point(params, x, y, u, v).w - w) <= 1e-12 * abs(w)
+
+
 def test_example_hl_root_search_out_of_steps_exit2(tmp_path, monkeypatch, capsys):
-    # a residual with no sign change: the bracket search runs out of doublings
-    monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: 1.0)
+    # one Newton step is not enough at any of these nodes
+    monkeypatch.setattr(families, "_MAX_NEWTON", 1)
     assert main(["example", "hl", "--a", "1,0", "--b", "0", "--domain", "0.2,1.4,0.2,1.4",
                  "--nx", "3", "--ny", "3", "--out", str(tmp_path / "hl.csv")]) == 2
-    assert "solver failure: no convergence after 600 iterations" in capsys.readouterr().err
+    assert "solver failure: no convergence after 1 iterations" in capsys.readouterr().err
 
 
 def test_example_hl_flags_underflowing_nodes(tmp_path):
-    # x^2 y^2 underflows to 0 at the first node: no lower bracket, the rest is solved
+    # x^2 y^2 underflows to 0 at the first node; the rest is solved
     out = tmp_path / "hl.csv"
     assert main(["example", "hl", "--a", "0,0", "--b", "0", "--domain", "4.8e-92,1,4.8e-92,1",
                  "--nx", "3", "--ny", "3", "--out", str(out)]) == 0
@@ -712,6 +736,14 @@ def test_wind_refuses_an_impossible_circle_exit1(tmp_path, capsys, flag, value, 
         argv += [flag, value]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_wind_checks_its_circle_before_reading_fields(tmp_path, capsys):
+    # the field paths do not exist: the radius is refused before any of them is read
+    missing = [str(tmp_path / f"{name}.csv") for name in ("u1", "v1", "u2", "v2")]
+    assert main(["wind", "--u1", missing[0], "--v1", missing[1], "--u2", missing[2], "--v2", missing[3],
+                 "--center", "0,0", "--radius=-0.2"]) == 1
+    assert capsys.readouterr().err == "config error: --radius must be finite and > 0, got -0.2\n"
 
 
 # --- configs without [boundary] ------------------------------------------------------

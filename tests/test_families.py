@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slfold import families
@@ -124,26 +124,68 @@ def test_hl_solve_alpha_requires_nonzero_y():
 
 
 def test_hl_degenerate_region_reported():
-    # head level -4 puts a P' <= 0 stretch inside the bracket
+    # head level -4 at (0.5, 1.0): one root on the branch w >= w0 = 4
     cfg = HLConfig.from_head((-4.0,), 0.0)
-    with pytest.raises(DegenerateRegionError) as exc:
-        hl_solve_alpha(cfg, 0.5, 1.0)
-    assert isinstance(exc.value.sign_changes, list)
+    t = hl_triple(cfg, 0.5, 1.0)
+    assert t.w >= cfg.params.w0 and t.alpha > 0.0
+    assert abs(hl_residual(cfg, 0.5, 1.0, t.alpha)) <= 1e-12 * (1.0 + eval_p(cfg.params, t.w))
+    # at x = 0 the branch root w(y^2) = 0.207 leaves alpha = w - b < 0 for b = 2
+    cfg = HLConfig.from_head((1.0,), 2.0)
+    with pytest.raises(DegenerateRegionError):
+        hl_solve_alpha(cfg, 0.0, 0.5)
 
 
-@pytest.mark.parametrize(
-    "residual",
-    [
-        lambda alpha: 1.0,  # no hi with r < 0
-        lambda alpha: -1.0,  # no lo with r > 0
-        lambda alpha: 0.3 - alpha + np.copysign(1e-3, 0.3 - alpha),  # jumps over 0
-    ],
-    ids=["hi-bracket", "lo-bracket", "polish"],
-)
-def test_hl_solve_alpha_budget_exhaustion_raises(monkeypatch, residual):
-    monkeypatch.setattr(families, "hl_residual", lambda cfg, x, y, alpha: residual(alpha))
+def test_hl_solve_alpha_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(families, "_MAX_NEWTON", 1)
     with pytest.raises(NoConvergenceError):
         hl_solve_alpha(CFG, 1.0, 1.0)
+
+
+def test_hl_tiny_coordinates_are_ok():
+    # levels (0, 0), b = 0: P' = 2w > 0, so x or y down to 1e-38 has one root on the branch
+    cfg = HLConfig.from_head((0.0,), 0.0)
+    tiny = 10.0 ** -np.arange(5, 39)
+    for x, y in ((tiny, 0.5), (1.0, tiny)):
+        cols = hl_triples(cfg, x, y)
+        assert set(cols.status) == {"ok"}
+        assert np.all(np.abs(hl_residual(cfg, x, y, cols.alpha)) <= 1e-12 * (1.0 + eval_p(cfg.params, cols.w)))
+
+
+def test_hl_singular_levels_with_x2_plus_b_at_w0():
+    # H = (alpha^5 - y^2) alpha - x^2 y^2: from alpha = x^2 Newton would need about 170 steps,
+    # and P(x^2 + alpha + b) from the levels keeps alpha only to 1e-3
+    cfg = HLConfig.from_head((0.0, 0.0, 0.0, 0.0), -0.25)
+    t = hl_triple(cfg, 0.5, 1e-40)
+    assert _on_branch(cfg, 0.5, 1e-40, t)
+    assert t.alpha == pytest.approx(2.5e-81 ** (1 / 6), rel=1e-12, abs=0.0)
+
+
+def test_hl_start_rounded_to_the_lower_bound():
+    # the start rounds to alpha = w0 - x^2 - b = 0.25, where P = P' = 0 (min(a) twice), so
+    # H' = -y^2 < 0 there: Newton stops instead of stepping to alpha = -x^2 y^2 / y^2
+    cfg = HLConfig.from_head((-1.0, -1.0), 0.5)
+    assert hl_triple(cfg, 0.5, 1e-30) == (-0.5, 1e-30, 1.0, 0.25, "ok")
+
+
+def test_hl_overflow_runs_out_of_steps():
+    # P(x^2 + alpha) = 1e400 overflows: a nan Newton step is never taken as the root
+    with pytest.raises(NoConvergenceError):
+        hl_triples(CFG, [0.5, 1e100], 1.0)
+
+
+def test_hl_subnormal_x2y2_or_alpha_is_underflow():
+    # x^2 y^2 = 1.35e-320 keeps 3 digits, and v = -xy/u would be off by 2e-7
+    assert hl_triples(HLConfig.from_head((0.0,), 0.0), 0.5, 2.323610941400783e-160).status == "underflow"
+    # x^2 y^2 = 1e-300 is normal, alpha = x^2 y^2 / P(1e5 + 1) = 5e-311 is not
+    assert hl_triples(HLConfig.from_head((1e5,), 1e5), 1.0, 1e-150).status == "underflow"
+
+
+def test_hl_newton_stops_in_the_rounding_of_h(monkeypatch):
+    # P(x^2 + b) = y^2 to rounding: near the root P(w) - y^2 is rounding noise, and Newton
+    # crept on for 90 steps before a step from within that noise was made the last
+    monkeypatch.setattr(families, "_MAX_NEWTON", 60)
+    cfg = HLConfig.from_head((-0.0010215704026071122, 0.0, 0.0), 0.04221230912492687)
+    assert hl_triple(cfg, 1.4837169731916022e-15, 0.001760185565291536).status == "ok"
 
 
 # The scalar root search that hl_triples replaced, kept as its reference.
@@ -152,16 +194,6 @@ def _reference_residual(cfg, x, y, alpha):
     if alpha <= 0.0:
         raise NonpositiveAlphaError(f"alpha must be > 0, got {alpha}")
     return y * y * (1.0 + x * x / alpha) - eval_p(cfg.params, x * x + alpha + cfg.b)
-
-
-def _reference_scan_sign_changes(cfg, x, y, lo, hi):
-    grid = np.geomspace(lo, hi, 128)
-    vals = [_reference_residual(cfg, x, y, float(t)) for t in grid]
-    out = []
-    for k in range(len(grid) - 1):
-        if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0:
-            out.append((float(grid[k]), float(grid[k + 1])))
-    return out
 
 
 def _reference_hl_solve_alpha(cfg, x, y):
@@ -204,10 +236,7 @@ def _reference_hl_solve_alpha(cfg, x, y):
     vals = [_reference_residual(cfg, x, y, float(t)) for t in probes]
     decreasing = all(vals[k] > vals[k + 1] for k in range(len(vals) - 1))
     if not (slopes_ok and decreasing):
-        raise DegenerateRegionError(
-            "P' <= 0 inside the bracket; root may not be unique",
-            sign_changes=_reference_scan_sign_changes(cfg, x, y, lo, hi),
-        )
+        raise DegenerateRegionError("P' <= 0 inside the bracket; root may not be unique")
 
     alpha = 0.5 * (lo + hi)
     for _ in range(200):
@@ -232,26 +261,35 @@ def _reference_hl_solve_alpha(cfg, x, y):
 
 
 def _reference_row(cfg, x, y):
-    """(u, v, w, alpha, status, sign_changes) as the scalar search and hl_triple gave them."""
+    """(u, v, w, alpha, status) as the scalar search gave them."""
     try:
         alpha = _reference_hl_solve_alpha(cfg, x, y)
     except YZeroError:
-        return 0.0, 0.0, 0.0, 0.0, "skipped_y0", None
-    except DegenerateRegionError as exc:
-        return 0.0, 0.0, 0.0, 0.0, "degenerate", exc.sign_changes
+        return 0.0, 0.0, 0.0, 0.0, "skipped_y0"
+    except DegenerateRegionError:
+        return 0.0, 0.0, 0.0, 0.0, "degenerate"
     u = -math.copysign(math.sqrt(alpha), y)
     v = -x * y / u
-    return u, v, x * x + u * u + cfg.b, alpha, "ok", None
+    return u, v, x * x + u * u + cfg.b, alpha, "ok"
+
+
+def _on_branch(cfg, x, y, row):
+    """Whether an hl_triples row is ok, on the branch, with a root of the constraint equation."""
+    u, v, w, alpha, status = row
+    scale = 1.0 + y * y + eval_p(cfg.params, w)
+    return (status == "ok" and w >= cfg.params.w0 and alpha > 0.0
+            and abs(hl_residual(cfg, x, y, alpha)) <= 1e-12 * scale)
 
 
 def test_hl_triples_equal_the_scalar_search(rng):
-    # Head level -4 gives degenerate nodes; the grids hold x = 0 and y = 0.
-    # At x = 0 hl_triples inverts the branch with branch_w_array where the
-    # scalar search used solve_branch.  Over these cases the two roots, and
-    # so alpha, differ by at most X_AXIS_ULPS units in the last place: 0.
-    X_AXIS_ULPS = 0
-    counts = {"ok": 0, "skipped_y0": 0, "degenerate": 0, "ok at x = 0": 0}
-    axis_ulps = 0.0
+    # Head level -4 puts nodes the scalar search called degenerate, or solved off the branch
+    # w >= w0, on the grids, which hold x = 0 and y = 0.  Where that search found the branch
+    # root, hl_triples agrees with it to rounding; elsewhere it finds the branch root.
+    # At x = 0 both invert the branch, with branch_w_array and solve_branch: bit for bit.
+    ULPS, W_EPS = 64, 8
+    counts = {"same root": 0, "skipped_y0": 0, "degenerate": 0, "now on the branch": 0, "ok at x = 0": 0}
+    worst = np.zeros(4)
+    eps = np.finfo(float).eps
     for trial in range(24):
         n = int(rng.integers(3, 6))
         head = rng.uniform(0.1, 2.5, n - 2)
@@ -264,22 +302,25 @@ def test_hl_triples_equal_the_scalar_search(rng):
         cols = hl_triples(cfg, x, y)
         for i, j in np.ndindex(x.shape):
             xi, yi = float(x[i, j]), float(y[i, j])
-            *want, status, sign_changes = _reference_row(cfg, xi, yi)
+            *want, status = _reference_row(cfg, xi, yi)
             got = [float(c[i, j]) for c in cols[:4]]
-            assert cols.status[i, j] == status, (cfg, xi, yi)
-            counts[status] += 1
-            if status == "ok" and xi == 0.0:
-                counts["ok at x = 0"] += 1
-                axis_ulps = max(axis_ulps, abs(got[3] - want[3]) / np.spacing(want[3]))
-                assert got == pytest.approx(want, rel=1e-12)
-            else:
-                assert got == want, (cfg, xi, yi)  # bit for bit
-            if sign_changes and (i + j) % 4 == 0:
-                with pytest.raises(DegenerateRegionError) as exc:
-                    hl_triple(cfg, xi, yi)
-                assert exc.value.sign_changes == sign_changes
+            if xi == 0.0 or status == "skipped_y0":
+                assert cols.status[i, j] == status, (cfg, xi, yi)
+                assert got == want, (cfg, xi, yi)
+                counts["ok at x = 0" if status == "ok" else status] += 1
+            elif status == "ok" and want[2] >= cfg.params.w0:
+                assert cols.status[i, j] == "ok", (cfg, xi, yi)
+                u, v, w, alpha = want
+                worst = np.maximum(worst, [abs(got[0] - u) / np.spacing(abs(u)),
+                                           abs(got[1] - v) / np.spacing(abs(v)),
+                                           abs(got[3] - alpha) / np.spacing(alpha),
+                                           abs(got[2] - w) / (eps * (xi * xi + alpha + abs(cfg.b)))])
+                counts["same root"] += 1
+            else:  # degenerate, or ok off the branch, in the scalar search
+                assert _on_branch(cfg, xi, yi, [c[i, j] for c in cols]), (cfg, xi, yi, status)
+                counts["now on the branch"] += 1
     assert min(counts.values()) >= 40, counts
-    assert axis_ulps <= X_AXIS_ULPS
+    assert np.all(worst <= [ULPS, ULPS, ULPS, W_EPS]), worst
 
 
 def test_hl_triples_broadcast_and_point_wrappers():
@@ -333,6 +374,33 @@ def test_hl_triples_rows_meet_the_constraints(case):
     assert np.all(np.abs(v * u + x * y) <= 1e-10 * (1 + np.abs(x * y)))
     assert np.all(np.abs(pw - (v * v + y * y)) <= 1e-9 * (1 + y * y + np.abs(pw)))
     assert np.all(v * x / np.abs(y) - u * np.sign(y) > 0.0)  # v x - u y > 0, without its underflow
+
+
+@st.composite
+def _negative_head_nodes(draw):
+    """Levels as `slfold example hl` takes them, heads down to -4, and up to 16 base points."""
+    n = draw(st.integers(3, 6))
+    head = draw(st.lists(st.floats(-4.0, 2.5), min_size=n - 2, max_size=n - 2))
+    b = draw(st.floats(-0.3, 0.8))
+    nodes = draw(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=16))
+    return HLConfig.from_head(tuple(head), b), np.array(nodes)
+
+
+@given(_negative_head_nodes())
+@example((HLConfig.from_head((-0.7703, -2.3912, -3.9233), -0.088), np.array([[-0.75, -1.125], [0.375, 1.5]])))
+@settings(max_examples=100, deadline=None)
+def test_hl_rows_lie_on_the_branch(case):
+    cfg, (x, y) = case[0], case[1].T
+    p = cfg.params
+    u, v, w, alpha, status = hl_triples(cfg, x, y)
+    ok = status == "ok"
+    # besides ok: y = 0, x = 0 with w(y^2) - b <= 0, and x^2 y^2 or alpha below the normal range
+    assert np.array_equal(status == "skipped_y0", y == 0.0)
+    assert np.all(x[status == "degenerate"] == 0.0)
+    assert np.all((x * y)[status == "underflow"] ** 2 < 1e5 * np.finfo(float).tiny)
+    for xi, yi, ui, vi, wi, ai in zip(*(c[ok] for c in (x, y, u, v, w, alpha))):
+        assert wi >= p.w0 and min(wi + aj for aj in p.a) >= 0.0
+        assert abs(lift_point(p, xi, yi, ui, vi).w - wi) <= 1e-12 * (xi * xi + ai + abs(cfg.b))
 
 
 def test_hl_triple_sign_laws():
