@@ -106,8 +106,9 @@ def _t_upper(params: ReductionParams, s, zeros: int = 0):
     """Least of s^(1/(n-1+zeros)) and the (s/Q_j)^(1/(j+zeros)) of params.bounds: >= the t with t^zeros P(w0 + t) = s."""
     # np.power also on a float: float ** can differ from the array loop in the last bit
     t = np.power(s, 1.0 / (params.n - 1 + zeros))
-    for j, q in params.bounds:
-        t = np.minimum(np.power(s, 1.0 / (j + zeros)) / q ** (1.0 / (j + zeros)), t)
+    with np.errstate(over="ignore"):  # a bound that overflows is inf, which np.minimum drops
+        for j, q in params.bounds:
+            t = np.minimum(np.power(s, 1.0 / (j + zeros)) / q ** (1.0 / (j + zeros)), t)
     return t
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularParametersError,
     SlfoldError,
 )
-from .families import HLConfig, hl_triples, joyce_check
+from .families import AffineSolution, HLConfig, affine_uv, hl_triples, joyce_check
 from .fieldio import (
     Records,
     fmt,
@@ -221,7 +221,8 @@ def cmd_example(args) -> int:
     if args.family == "affine":
         dom = _parse_domain(args.domain, args.nx, args.ny)
         x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
-        columns = [c.ravel() for c in (x, y, args.alpha * x + args.beta, args.alpha * y + args.gamma)]
+        uv = affine_uv(AffineSolution(args.alpha, args.beta, args.gamma), x, y)
+        columns = [c.ravel() for c in (x, y, *uv)]
         out = args.out or "affine.csv"
         write_rows_csv(("x", "y", "u", "v"), columns, out)
         print(f"wrote {x.size} rows to {out}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .branch import ReductionParams
 from .errors import ConfigError
+from .families import AffineSolution, affine_potential
 from .fieldio import read_xyv_rows
 from .grid import BoundaryData, GridDomain, boundary_indices
 from .pde import SolverConfig
@@ -46,10 +47,7 @@ class BoundarySpec:
 
     def resolve(self, domain: GridDomain) -> BoundaryData:
         if self.kind == "affine":
-            al, be, ga = self.coefficients
-            return BoundaryData.from_function(
-                domain, lambda x, y: al * x * y + ga * x + be * y
-            )
+            return BoundaryData.from_function(domain, affine_potential(AffineSolution(*self.coefficients)))
         if self.kind == "bilinear":
             c0, c1, c2, c3 = self.coefficients
             return BoundaryData.from_function(

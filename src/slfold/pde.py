@@ -4,15 +4,17 @@ First-order system:      u_x = v_y,   v_x = -P'(w(v^2 + y^2)) u_y.
 Potential form:          f_xx + P'(w) f_yy = 0 with (u, v) = (f_y, f_x) and
                          w the branch root of P(w) = f_x^2 + y^2.
 
-Discretisation is the 5-point second-order stencil; the nonlinear coefficient
-is evaluated nodewise from the current iterate.  The Dirichlet solver runs a
-Picard (frozen-coefficient) outer loop with one geometric multigrid V-cycle
-per coefficient refresh (Briggs, Henson & McCormick, A Multigrid Tutorial,
-2000).  Each interior side m coarsens to max(1, (m - 1) // 2) until a side
-is 1, where one smoothing sweep is an exact solve.  The smoother is
-alternating zebra line Gauss-Seidel; restriction and prolongation come from
-the coarse grid's hat functions, which is full weighting and bilinear
-interpolation where the grids nest.  The smoother's batched tridiagonal
+Discretisation is the 5-point second-order stencil, applied only by
+_Level.apply, for the residual as for the V-cycle; every first derivative is
+np.gradient's.  The nonlinear coefficient is evaluated nodewise from the
+current iterate.  The Dirichlet solver runs a Picard (frozen-coefficient)
+outer loop with one geometric multigrid V-cycle per coefficient refresh
+(Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Each interior
+side m coarsens to max(1, (m - 1) // 2) until a side is 1, where one
+smoothing sweep is an exact solve.  The smoother is alternating zebra line
+Gauss-Seidel; restriction and prolongation come from the coarse grid's hat
+functions, which is full weighting and bilinear interpolation where the
+grids nest.  The smoother's batched tridiagonal
 line systems are solved by parallel cyclic reduction, in ceil(log2 L)
 vector steps for lines of L unknowns; they are factored once per level and
 V-cycle, since the frozen coefficient fixes them for the whole cycle.
@@ -70,19 +72,9 @@ class PdeSolution:
     ellipticity_bound: float
 
 
-def central_differences(values: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """(D_x, D_y) at interior nodes: bit for bit the interior of np.gradient(values, hx, hy)."""
-    return _central(values[:, 1:-1], hx), _central(values[1:-1].T, hy).T
-
-
-def _central(vals: np.ndarray, h: float) -> np.ndarray:
-    """Central difference along axis 0, at rows 1 to -2."""
-    return (vals[2:] - vals[:-2]) / (2.0 * h)
-
-
 def _interior_coefficient(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> np.ndarray:
     """P'(w) at interior nodes with s = (D_x f)^2 + y^2 from the iterate."""
-    fx = _central(f[:, 1:-1], domain.hx)  # D_x of central_differences
+    fx = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
     s = fx * fx + domain.ys()[None, 1:-1] ** 2
     return ellipticity_array(params, s)
 
@@ -113,7 +105,9 @@ def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarFi
     t = w(v^2 + y^2) - w0 it was built from, for callers that reuse them.
     """
     dom = require_same_domain(u, v)
-    (u_x, u_y), (v_x, v_y) = (central_differences(f.values, dom.hx, dom.hy) for f in (u, v))
+    (u_x, u_y), (v_x, v_y) = (
+        (d[1:-1, 1:-1] for d in np.gradient(f.values, dom.hx, dom.hy)) for f in (u, v)
+    )
     t, coef = _branch_t(params, v.values[1:-1, 1:-1] ** 2 + dom.ys()[None, 1:-1] ** 2)
     return (u_x - v_y, v_x + coef * u_y), (u_x, u_y, v_x, v_y), t, coef
 
@@ -121,32 +115,13 @@ def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarFi
 def residual_potential(params: ReductionParams, f: ScalarField2D) -> ScalarField2D:
     """D_xx f + P'(w) D_yy f at interior nodes, coefficient from D_x f."""
     coef = _interior_coefficient(params, f.values, f.domain)
-    out = np.zeros_like(f.values)
-    out[1:-1, 1:-1] = _potential_residual_interior(f.values, f.domain, coef)
-    return ScalarField2D(f.domain, out)
-
-
-def _potential_residual_interior(f: np.ndarray, domain: GridDomain, coef: np.ndarray) -> np.ndarray:
-    hx2, hy2 = domain.hx**2, domain.hy**2
-    fxx = (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hx2
-    fyy = (f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hy2
-    return fxx + coef * fyy
+    return ScalarField2D(f.domain, np.pad(_Level(coef, f.domain.hx, f.domain.hy).apply(f.values), 1))
 
 
 def recover_uv(f: ScalarField2D) -> tuple[ScalarField2D, ScalarField2D]:
     """(u, v) = (D_y f, D_x f): central interior, second-order one-sided edges."""
-    dom = f.domain
-    u = _axis0_derivative(f.values.T, dom.hy).T
-    return ScalarField2D(dom, u), ScalarField2D(dom, _axis0_derivative(f.values, dom.hx))
-
-
-def _axis0_derivative(vals: np.ndarray, h: float) -> np.ndarray:
-    """Derivative along axis 0: central inside, one-sided second order at both ends."""
-    d = np.empty_like(vals)
-    d[1:-1] = _central(vals, h)
-    d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return d
+    v, u = np.gradient(f.values, f.domain.hx, f.domain.hy, edge_order=2)
+    return ScalarField2D(f.domain, u), ScalarField2D(f.domain, v)
 
 
 def transfinite_interpolant(phi: BoundaryData) -> np.ndarray:
@@ -184,12 +159,12 @@ class _Level:
     """The frozen operator e_xx + c e_yy on one grid of the hierarchy."""
 
     def __init__(self, coef: np.ndarray, hx: float, hy: float):
+        self.coef = coef
         self.invx = 1.0 / hx**2
         self.cy = coef / hy**2
-        self.diag = -2.0 * self.invx - 2.0 * self.cy
 
     def apply(self, e: np.ndarray) -> np.ndarray:
-        """Operator on the interior of a full array with zero boundary rows."""
+        """Operator on the interior of a full array, with whatever boundary values it holds."""
         mid = e[1:-1, 1:-1]
         return (e[2:, 1:-1] - 2.0 * mid + e[:-2, 1:-1]) * self.invx + self.cy * (
             e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
@@ -202,8 +177,9 @@ class _Level:
         Built on the first smoothing sweep and reused by every later one in
         the cycle, on the coarsest level too.
         """
-        ylines = tuple(_pcr_factor(self.cy[p::2].T, self.diag[p::2].T) for p in (0, 1))
-        xlines = tuple(_pcr_factor(self.invx, self.diag[:, p::2]) for p in (0, 1))
+        diag = -2.0 * self.invx - 2.0 * self.cy
+        ylines = tuple(_pcr_factor(self.cy[p::2].T, diag[p::2].T) for p in (0, 1))
+        xlines = tuple(_pcr_factor(self.invx, diag[:, p::2]) for p in (0, 1))
         return ylines, xlines
 
 
@@ -339,30 +315,30 @@ def solve_dirichlet(
             raise SingularParametersError(f"min(a_j) has multiplicity > 1: {refusal}")
         raise DegeneracyEncounteredError(refusal)
 
-    def state(fa: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Fresh coefficient, residual and RMS residual of an iterate."""
-        coef = _interior_coefficient(params, fa, domain)
-        res = _potential_residual_interior(fa, domain, coef)
-        return coef, res, float(np.sqrt(np.mean(res * res)))
+    def state(fa: np.ndarray) -> tuple[_Level, np.ndarray, float]:
+        """The iterate's operator, with a fresh coefficient, its residual and RMS residual."""
+        lv = _Level(_interior_coefficient(params, fa, domain), domain.hx, domain.hy)
+        res = lv.apply(fa)
+        return lv, res, float(np.sqrt(np.mean(res * res)))
 
     f = transfinite_interpolant(phi)
-    coef, res, rms = state(f)
+    lv, res, rms = state(f)
     cycles = 0
     while (residual := float(np.max(np.abs(res)))) > cfg.tolerance:
         if cycles >= cfg.max_iterations:
             raise NoConvergenceError(cycles, residual)
-        step = _vcycle(_levels(coef, domain.hx, domain.hy), -res)
+        step = _vcycle(_levels(lv.coef, domain.hx, domain.hy), -res)
         cycles += 1
         for halvings in range(_MAX_HALVINGS + 1):
             trial = f.copy()
             trial[1:-1, 1:-1] += 0.5**halvings * step
-            trial_coef, trial_res, trial_rms = state(trial)
+            trial_lv, trial_res, trial_rms = state(trial)
             if trial_rms < rms:
                 break
         else:
             raise NoConvergenceError(cycles, residual)
-        f, coef, res, rms = trial, trial_coef, trial_res, trial_rms
+        f, lv, res, rms = trial, trial_lv, trial_res, trial_rms
 
     field = ScalarField2D(domain, f)
     return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=residual,
-                       ellipticity_margin=float(coef.min()), ellipticity_bound=bound)
+                       ellipticity_margin=float(lv.coef.min()), ellipticity_bound=bound)

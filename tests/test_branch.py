@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,17 @@ def test_branch_refuses_an_overflowing_p_prime():
         ellipticity_array(params, np.array([0.0, 0.0]))
     with pytest.raises(BranchOverflowError, match="P'"):
         branch_w_array(params, np.zeros(3))
+
+
+def test_an_overflowing_start_bound_is_silent():
+    # (s / Q_1)^1 with Q_1 = 1e-300 overflows; the bound s^(1/2) = 1e5 is the start
+    params = params_from_levels((1e-300, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve_branch(params, 1e10)
+        w = branch_w_array(params, np.array([1e10, 1e10]))
+    assert (state.w, state.p_prime_at_w) == (1e5, 2e5)
+    assert w.tolist() == [1e5, 1e5]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

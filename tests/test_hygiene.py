@@ -13,7 +13,11 @@ that was deleted while the text describing it stayed.  The format scan keeps
 one path for writing floats: the numpy kernel of ``fieldio``, with ``fmt`` as
 its fallback for the cells it leaves to ``%``.  The JSON scan keeps one JSON
 writer, ``fieldio.write_json``, whose ``Records`` path must stay byte-identical
-to ``json.dumps``.
+to ``json.dumps``.  The finite-difference scans keep the solver's discrete
+calculus in ``pde``: no other module of src/ or scripts/ calls
+``np.gradient``, and no code but ``pde._Level.apply`` takes one name sliced
+``2:`` and ``:-2`` along one axis in one expression, the idiom of central and
+second differences.
 """
 
 import ast
@@ -208,4 +212,77 @@ def test_only_fieldio_writes_json():
         for p in sorted((ROOT / "src").rglob("*.py"))
         if p.name != "fieldio.py" and (lines := json_dump_calls(p.read_text()))
     }
+    assert found == {}
+
+
+def gradient_calls(source: str) -> list[int]:
+    """Lines that read np.gradient or numpy.gradient, or import gradient from numpy."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if (
+        isinstance(node, ast.Attribute) and node.attr == "gradient"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ) or (
+        isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        and any(alias.name == "gradient" for alias in node.names)
+    )})
+
+
+def slice_axes(node: ast.Subscript, lower, upper) -> set[int]:
+    """The axes that a subscript slices lower:upper, with constant ends and no step."""
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+
+    def end(e):
+        try:
+            return None if e is None else ast.literal_eval(e)
+        except ValueError:
+            return e  # not a constant: equal to no int
+    return {axis for axis, s in enumerate(index) if isinstance(s, ast.Slice) and s.step is None
+            and end(s.lower) == lower and end(s.upper) == upper}
+
+
+def difference_stencils(source: str, allowed: str = "") -> list[int]:
+    """Lines of an arithmetic expression whose operands slice one name 2: and :-2
+    along one axis, outside the functions and methods named `allowed`."""
+    tree = ast.parse(source)
+    skip = {id(inner) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == allowed for inner in ast.walk(node)}
+
+    def operands(node):
+        if isinstance(node, ast.BinOp):
+            return operands(node.left) + operands(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return operands(node.operand)
+        return [node] if isinstance(node, ast.Subscript) else []
+
+    def central(node) -> bool:
+        subs = operands(node)
+        return any(ast.unparse(a.value) == ast.unparse(b.value)
+                   and slice_axes(a, 2, None) & slice_axes(b, None, -2) for a in subs for b in subs)
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and id(node) not in skip and central(node)})
+
+
+def test_scan_flags_finite_differences():
+    source = (
+        "import numpy as np\nfrom numpy import gradient, diff\n"
+        "def d(f, h):\n    return (f[2:] - f[:-2]) / (2 * h), np.gradient(f, h), numpy.gradient(f)\n"
+        "def lap(e):\n    return (e.v[1:-1, :-2] - 2.0 * e.v[1:-1, 1:-1]\n            + e.v[1:-1, 2:])\n"
+        "def apply(e):\n    return e[2:] - 2.0 * e[1:-1] + e[:-2]\n"
+        "def ok(f, g):\n    return f[1:] - f[:-1], f[2:] - g[:-2], f[2:, 1:-1] - f[1:-1, :-2], f[2::2] - f[:-2]\n"
+    )
+    assert gradient_calls(source) == [2, 4]
+    assert difference_stencils(source, allowed="apply") == [4, 6]
+    assert difference_stencils(source) == [4, 6, 9]
+
+
+def test_finite_differences_live_in_pde():
+    found = {}
+    for p in [p for d in ("src", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]:
+        source = p.read_text()
+        if p.name == "pde.py":
+            lines = difference_stencils(source, allowed="apply")
+        else:
+            lines = difference_stencils(source) + gradient_calls(source)
+        if lines:
+            found[str(p.relative_to(ROOT))] = lines
     assert found == {}

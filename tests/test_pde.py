@@ -14,12 +14,12 @@ from slfold.errors import (
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
 from slfold.pde import (
     SolverConfig,
+    _first_order_interior,
     _hat,
     _levels,
     _pcr_factor,
     _pcr_solve,
     _vcycle,
-    central_differences,
     ellipticity_field,
     recover_uv,
     residual_first_order,
@@ -64,12 +64,13 @@ def test_boundary_roundtrip():
 
 def test_central_differences_are_the_interior_of_np_gradient(rng):
     dom = GridDomain(-1.0, 2.0, 0.5, 1.3, 11, 7)  # hx != hy
-    values = rng.normal(size=(dom.nx, dom.ny))
-    d_x, d_y = central_differences(values, dom.hx, dom.hy)
-    g_x, g_y = np.gradient(values, dom.hx, dom.hy)
+    u, v = (ScalarField2D(dom, rng.normal(size=(dom.nx, dom.ny))) for _ in range(2))
+    _, (u_x, u_y, v_x, v_y), *_ = _first_order_interior(P3, u, v)
     # bit for bit: verify_fields took its partials from np.gradient before
-    assert d_x.tobytes() == g_x[1:-1, 1:-1].tobytes()
-    assert d_y.tobytes() == g_y[1:-1, 1:-1].tobytes()
+    for (d_x, d_y), f in (((u_x, u_y), u), ((v_x, v_y), v)):
+        g_x, g_y = np.gradient(f.values, dom.hx, dom.hy)
+        assert d_x.tobytes() == g_x[1:-1, 1:-1].tobytes()
+        assert d_y.tobytes() == g_y[1:-1, 1:-1].tobytes()
 
 
 def test_first_order_residual_affine_is_zero(rng):
@@ -130,6 +131,20 @@ def test_recover_uv_exactness():
     uq, vq = recover_uv(field(lambda x, y: x**2 + 0 * y))
     assert np.allclose(vq.values, 2 * xg, atol=1e-12)
     assert np.max(np.abs(uq.values)) <= 1e-13
+
+
+# hx and hy are no powers of two here, so rounding differs between spellings of the operator
+ODD_GRIDS = [GridDomain(-1.0, 1.7, 0.3, 2.2, nx, ny) for nx, ny in ((13, 21), (25, 19))]
+
+
+@pytest.mark.parametrize("dom", ODD_GRIDS, ids=["13x21", "25x19"])
+def test_recover_uv_is_exact_on_quadratics_up_to_the_edges(dom):
+    u, v = recover_uv(field(lambda x, y: x**2 + 0.7 * x * y - 1.3 * y**2 + 0.4 * x - 0.2 * y, dom))
+    xg, yg = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
+    edges = np.ones((dom.nx, dom.ny), dtype=bool)
+    edges[1:-1, 1:-1] = False
+    assert np.abs(u.values - (0.7 * xg - 2.6 * yg - 0.2))[edges].max() <= 1e-12
+    assert np.abs(v.values - (2.0 * xg + 0.7 * yg + 0.4))[edges].max() <= 1e-12
 
 
 @given(
@@ -324,6 +339,16 @@ def test_dirichlet_converges_across_levels(levels, fn):
     params = params_from_levels(levels)
     sol = solve_dirichlet(params, DOM33, BoundaryData.from_function(DOM33, fn))
     assert sol.final_residual <= 1e-10
+    assert np.max(np.abs(residual_potential(params, sol.f).values)) == sol.final_residual
+
+
+@pytest.mark.parametrize("dom, levels", zip(ODD_GRIDS, [(1.0, 0.25, -1.0), (1.0, -1.0)]), ids=["13x21", "25x19"])
+def test_final_residual_is_the_residual_of_the_returned_field(dom, levels):
+    # the solver's stopping test and residual_potential apply one operator; two
+    # spellings of it differ here in the last bits of the maximum
+    params = params_from_levels(levels)
+    sol = solve_dirichlet(params, dom, BoundaryData.from_function(dom, lambda x, y: x**2 + 0 * y))
+    assert sol.iterations > 0
     assert np.max(np.abs(residual_potential(params, sol.f).values)) == sol.final_residual
 
 
