@@ -79,17 +79,20 @@ class BranchState:
     p_prime_at_w: float
 
 
-def _p_and_dp(a: tuple[float, ...], w):
-    """(P(w), P'(w)) in one pass over the factors (w + a_j), never expanded.
+def _p_and_dp(a: tuple[float, ...], w, second: bool = False):
+    """(P(w), P'(w)) in one pass over the factors (w + a_j), never expanded;
+    (P(w), P'(w), P''(w)) from the same pass when second is set.
 
     Serves floats and arrays alike: the loop only rebinds, never writes in place.
     """
-    p, dp = 1.0, 0.0
+    p, dp, d2p = 1.0, 0.0, 0.0
     for aj in a:
         t = w + aj
+        if second:
+            d2p = d2p * t + 2.0 * dp
         dp = dp * t + p
         p = p * t
-    return p, dp
+    return (p, dp, d2p) if second else (p, dp)
 
 
 def eval_p(params: ReductionParams, w: float) -> float:
@@ -166,6 +169,13 @@ def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     return params.w0 + _branch_t(params, np.asarray(s, dtype=float))[0]
 
 
-def ellipticity_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
-    """F(s) = P'(w(s)) elementwise, from the factors t + d_j."""
-    return _branch_t(params, np.asarray(s, dtype=float))[1]
+def ellipticity_array(params: ReductionParams, s: np.ndarray, derivative: bool = False):
+    """F(s) = P'(w(s)) elementwise, from the factors t + d_j.
+
+    With derivative, (F(s), F'(s)) with F'(s) = P''(w)/P'(w), by the chain rule
+    and dw/ds = 1/P'(w); the branch is inverted once for both.
+    """
+    t, dp = _branch_t(params, np.asarray(s, dtype=float))
+    if not derivative:
+        return dp
+    return dp, _p_and_dp(params.shifts, t, second=True)[2] / dp

@@ -112,6 +112,8 @@ def cmd_solve(args) -> int:
     report = {
         "converged": True,
         "iterations": sol.iterations,
+        "newton_steps": sol.newton_steps,
+        "fallback_steps": sol.fallback_steps,
         "final_residual": sol.final_residual,
         "ellipticity_margin": sol.ellipticity_margin,
         "ellipticity_bound": sol.ellipticity_bound,

@@ -7,22 +7,43 @@ Potential form:          f_xx + P'(w) f_yy = 0 with (u, v) = (f_y, f_x) and
 Discretisation is the 5-point second-order stencil, applied only by
 _Level.apply, for the residual as for the V-cycle; every first derivative is
 np.gradient's.  The nonlinear coefficient is evaluated nodewise from the
-current iterate.  The Dirichlet solver runs a Picard (frozen-coefficient)
-outer loop with one geometric multigrid V-cycle per coefficient refresh
-(Briggs, Henson & McCormick, A Multigrid Tutorial, 2000).  Each interior
-side m coarsens to max(1, (m - 1) // 2) until a side is 1, where one
-smoothing sweep is an exact solve.  The smoother is alternating zebra line
+current iterate.  The Dirichlet solver runs inexact Newton on the discrete
+residual R(f) = D_xx f + c D_yy f, c = F(s) = P'(w(s)), s = (D_x f)^2 + y^2
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Its exact
+Jacobian is J e = D_xx e + c D_yy e + b D_x e with b = 2 F'(s) D_x f D_yy f
+and F'(s) = P''(w)/P'(w).  Each Newton step builds one multigrid hierarchy
+for J and runs V-cycles on it (Briggs, Henson & McCormick, A Multigrid
+Tutorial, 2000), each cycle's correction scaled to minimise the RMS of the
+linear residual, until |J d + R| <= eta |R| in the max norm, with eta from
+Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996), floored where
+the tolerance asks for no more.  The cycles stop early at the first one
+that fails to cut the linear residual's RMS by a tenth, keeping the best
+step: repeated V-cycles on one operator can diverge after a deep descent
+when c varies strongly, and stall where b dominates.  The step is then
+backtracked until the RMS residual decreases.  A step whose first cycle
+already stalls, or that the backtracking rejects, falls back to the frozen-
+coefficient (Picard) step: one V-cycle for the operator with b = 0,
+backtracked the same way.
+
+Each interior side m coarsens to max(1, (m - 1) // 2) until a side is 1,
+where one smoothing sweep is an exact solve; c and b reach the coarse grids
+by interpolation at their nodes, where b e_x is upwinded (Trottenberg,
+Oosterlee & Schueller, Multigrid, 2001, ch. 7) so that the coarse x-lines
+keep nonnegative couplings however large |b| h grows; the finest level
+keeps the exact J.  The smoother is alternating zebra line
 Gauss-Seidel; restriction and prolongation come from the coarse grid's hat
 functions, which is full weighting and bilinear interpolation where the
-grids nest.  The smoother's batched tridiagonal
-line systems are solved by parallel cyclic reduction, in ceil(log2 L)
-vector steps for lines of L unknowns; they are factored once per level and
-V-cycle, since the frozen coefficient fixes them for the whole cycle.
-Ellipticity is checked once, against an a-priori bound on every iterate.
+grids nest.  The smoother's batched tridiagonal line systems, with unequal
+off-diagonals 1/hx^2 -+ b/(2 hx) along x, are solved by parallel cyclic
+reduction, in ceil(log2 L) vector steps for lines of L unknowns; they are
+factored once per level and hierarchy, and every V-cycle of a Newton step
+reuses them.  Ellipticity is checked once, against an a-priori bound on
+every iterate.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -38,8 +59,14 @@ from .errors import (
 )
 from .grid import BoundaryData, GridDomain, ScalarField2D, require_same_domain
 
-# Step halvings tried before an iteration counts as stalled.
+# Step halvings tried before a step counts as rejected.
 _MAX_HALVINGS = 8
+# Eisenstat-Walker choice 2: eta_k = gamma (|R_k| / |R_k-1|)^alpha, from eta_0,
+# safeguarded by gamma eta_k-1^alpha where that exceeds 0.1, and capped at eta_0.
+_ETA0, _EW_GAMMA, _EW_ALPHA = 0.5, 0.9, 2.0
+# A V-cycle that leaves more than this share of the linear residual's RMS has
+# stalled: the Jacobian's hierarchy serves the step no further.
+_STALL = 0.9
 
 
 @dataclass(frozen=True)
@@ -61,7 +88,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class PdeSolution:
-    """Converged f with u = f_y, v = f_x, its least interior P'(w) and the a-priori bound on it."""
+    """Converged f with u = f_y, v = f_x, its least interior P'(w) and the a-priori bound on it.
+
+    iterations counts V-cycles; newton_steps the steps taken with the
+    Jacobian and fallback_steps the frozen-coefficient steps taken in place
+    of a failed Newton step.
+    """
 
     f: ScalarField2D
     u: ScalarField2D
@@ -70,13 +102,24 @@ class PdeSolution:
     final_residual: float
     ellipticity_margin: float
     ellipticity_bound: float
+    newton_steps: int
+    fallback_steps: int
 
 
-def _interior_coefficient(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """P'(w) at interior nodes with s = (D_x f)^2 + y^2 from the iterate."""
+def _interior_coefficient(
+    params: ReductionParams, f: np.ndarray, domain: GridDomain, derivative: bool = False
+):
+    """P'(w) at interior nodes with s = (D_x f)^2 + y^2 from the iterate.
+
+    With derivative, (P'(w), 2 F'(s) D_x f): the coefficient and its
+    derivative with respect to D_x f, from one branch inversion.
+    """
     fx = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
     s = fx * fx + domain.ys()[None, 1:-1] ** 2
-    return ellipticity_array(params, s)
+    if not derivative:
+        return ellipticity_array(params, s)
+    coef, slope = ellipticity_array(params, s, derivative=True)
+    return coef, 2.0 * slope * fx
 
 
 def ellipticity_field(params: ReductionParams, f: ScalarField2D) -> np.ndarray:
@@ -156,46 +199,82 @@ class _LineFactor(NamedTuple):
 
 
 class _Level:
-    """The frozen operator e_xx + c e_yy on one grid of the hierarchy."""
+    """The operator e_xx + c e_yy on one grid of the hierarchy, or that plus b e_x.
+
+    Without b (bx is None) this is the frozen operator, whose apply gives the
+    residual, and invx is the scalar 1/hx^2.  with_drift adds the Newton term
+    b e_x, bx = b/(2 hx) per node, and makes invx per node too.
+    """
 
     def __init__(self, coef: np.ndarray, hx: float, hy: float):
-        self.coef = coef
+        self.coef, self.hx, self.hy = coef, hx, hy
         self.invx = 1.0 / hx**2
         self.cy = coef / hy**2
+        self.bx = None
+
+    def with_drift(self, b: np.ndarray, upwind: bool = False) -> _Level:
+        """This operator plus b e_x, sharing coef and cy with this level.
+
+        Central differences give the exact Jacobian.  With upwind, the x
+        diffusion 1/hx^2 becomes 1/hx^2 + |b|/(2 hx), which is first-order
+        upwinding of b e_x: both x-couplings stay >= 1/hx^2 however large
+        |b| hx gets, as a coarse grid needs.
+        """
+        lv = copy.copy(self)
+        vars(lv).pop("lines", None)
+        lv.bx = b * (0.5 / self.hx)
+        lv.invx = self.invx + np.abs(lv.bx) if upwind else np.full_like(b, self.invx)
+        return lv
 
     def apply(self, e: np.ndarray) -> np.ndarray:
         """Operator on the interior of a full array, with whatever boundary values it holds."""
         mid = e[1:-1, 1:-1]
-        return (e[2:, 1:-1] - 2.0 * mid + e[:-2, 1:-1]) * self.invx + self.cy * (
+        out = (e[2:, 1:-1] - 2.0 * mid + e[:-2, 1:-1]) * self.invx + self.cy * (
             e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
         )
+        if self.bx is not None:
+            out += self.bx * (e[2:, 1:-1] - e[:-2, 1:-1])
+        return out
 
     @cached_property
     def lines(self) -> tuple[tuple[_LineFactor, _LineFactor], tuple[_LineFactor, _LineFactor]]:
         """Factors of the zebra line systems, (y-lines, x-lines) by colour 0, 1.
 
-        Built on the first smoothing sweep and reused by every later one in
-        the cycle, on the coarsest level too.
+        Built on the first smoothing sweep and reused by every later one on
+        this level, in every V-cycle on the hierarchy, on the coarsest level too.
         """
         diag = -2.0 * self.invx - 2.0 * self.cy
-        ylines = tuple(_pcr_factor(self.cy[p::2].T, diag[p::2].T) for p in (0, 1))
-        xlines = tuple(_pcr_factor(self.invx, diag[:, p::2]) for p in (0, 1))
+        ylines = tuple(_pcr_factor(self.cy[p::2].T, self.cy[p::2].T, diag[p::2].T) for p in (0, 1))
+        if self.bx is None:
+            xoffs = [(self.invx, self.invx)] * 2
+        else:
+            lower, upper = self.invx - self.bx, self.invx + self.bx
+            xoffs = [(lower[:, p::2], upper[:, p::2]) for p in (0, 1)]
+        xlines = tuple(_pcr_factor(*xoffs[p], diag[:, p::2]) for p in (0, 1))
         return ylines, xlines
 
 
-def _levels(coef: np.ndarray, hx: float, hy: float) -> list[_Level]:
-    """Coarsen each interior side m to max(1, (m - 1) // 2) until a side is 1.
+def _levels(fine: _Level, b: np.ndarray | None = None) -> list[_Level]:
+    """The hierarchy under fine, plus b e_x on every level when b is given:
+    exact on fine, upwinded on the coarse levels.
 
+    Each interior side m coarsens to max(1, (m - 1) // 2) until a side is 1.
     Odd sides nest; an even side gets a coarse grid on the same interval.
-    The coarse coefficient is the fine one interpolated at the coarse nodes.
+    The coarse c and b are the fine ones interpolated at the coarse nodes.
     """
-    levels = [_Level(coef, hx, hy)]
+    levels = [fine if b is None else fine.with_drift(b)]
+    coef, hx, hy = fine.coef, fine.hx, fine.hy
     while min(coef.shape) > 1:
         mx, my = coef.shape
         cx, cy = max(1, (mx - 1) // 2), max(1, (my - 1) // 2)
-        coef = _hat(cx, mx) @ coef @ _hat(cy, my).T
+        px, py = _hat(cx, mx), _hat(cy, my)
+        coef = px @ coef @ py.T
         hx, hy = hx * ((mx + 1) / (cx + 1)), hy * ((my + 1) / (cy + 1))
-        levels.append(_Level(coef, hx, hy))
+        lv = _Level(coef, hx, hy)
+        if b is not None:
+            b = px @ b @ py.T
+            lv = lv.with_drift(b, upwind=True)
+        levels.append(lv)
     return levels
 
 
@@ -215,11 +294,12 @@ def _hat(m: int, mc: int) -> np.ndarray:
     return hat
 
 
-def _pcr_factor(off: float | np.ndarray, diag: np.ndarray) -> _LineFactor:
+def _pcr_factor(lower: float | np.ndarray, upper: float | np.ndarray, diag: np.ndarray) -> _LineFactor:
     """Parallel cyclic reduction of tridiagonal systems along axis 0, batched over axis 1.
 
-    Row k reads off[k] x[k-1] + diag[k] x[k] + off[k] x[k+1] = rhs[k]; off is
-    an array of diag's shape or a scalar.  The step with stride s adds
+    Row k reads lower[k] x[k-1] + diag[k] x[k] + upper[k] x[k+1] = rhs[k];
+    lower and upper are arrays of diag's shape or scalars, and lower[0] and
+    upper[-1] are not read.  The step with stride s adds
     alpha times row k-s and gamma times row k+s to row k, which removes
     x[k-s] and x[k+s] from it; after ceil(log2 L) strides every row is
     decoupled (Hockney 1965; Gander & Golub 1997).
@@ -228,9 +308,7 @@ def _pcr_factor(off: float | np.ndarray, diag: np.ndarray) -> _LineFactor:
     diag = np.ascontiguousarray(diag)  # C order, like the copies _pcr_solve makes
     # At stride s, lower[k] couples row k to row k-s (read for k >= s only) and
     # upper[k] couples it to row k+s (read for k < n-s only).
-    lower = np.empty_like(diag)
-    lower[...] = off
-    upper = lower.copy()
+    lower, upper = np.broadcast_to(lower, diag.shape).copy(), np.broadcast_to(upper, diag.shape).copy()
     steps = []
     s = 1
     while s < n:
@@ -256,35 +334,92 @@ def _pcr_solve(factor: _LineFactor, rhs: np.ndarray) -> np.ndarray:
     return d * factor.inv_diag
 
 
-def _smooth(lv: _Level, e: np.ndarray, b: np.ndarray) -> None:
-    """One alternating zebra line Gauss-Seidel sweep: lines along y, then x."""
+def _smooth(lv: _Level, e: np.ndarray, g: np.ndarray) -> None:
+    """One alternating zebra line Gauss-Seidel sweep for lv's operator e = g: lines along y, then x."""
     mx, my = e.shape
     ylines, xlines = lv.lines
     for p in (0, 1):
-        rhs = b[p::2] - lv.invx * (e[p : mx - 2 : 2, 1:-1] + e[p + 2 :: 2, 1:-1])
+        left, right = e[p : mx - 2 : 2, 1:-1], e[p + 2 :: 2, 1:-1]
+        if lv.bx is None:
+            rhs = g[p::2] - lv.invx * (left + right)
+        else:
+            rhs = g[p::2] - lv.invx[p::2] * (left + right) - lv.bx[p::2] * (right - left)
         e[p + 1 : mx - 1 : 2, 1:-1] = _pcr_solve(ylines[p], rhs.T).T
     for p in (0, 1):
-        rhs = b[:, p::2] - lv.cy[:, p::2] * (e[1:-1, p : my - 2 : 2] + e[1:-1, p + 2 :: 2])
+        rhs = g[:, p::2] - lv.cy[:, p::2] * (e[1:-1, p : my - 2 : 2] + e[1:-1, p + 2 :: 2])
         e[1:-1, p + 1 : my - 1 : 2] = _pcr_solve(xlines[p], rhs)
 
 
-def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V(1,1) cycle for e_xx + c e_yy = b from e = 0; interior in and out.
+def _vcycle(levels: list[_Level], g: np.ndarray) -> np.ndarray:
+    """One V(1,1) cycle for levels[0]'s operator e = g from e = 0; interior in and out.
 
     On the coarsest level a side is 1, so the line solves of one sweep
     cover the whole system and the sweep is exact.
     """
     lv = levels[0]
-    e = np.zeros((b.shape[0] + 2, b.shape[1] + 2))
-    _smooth(lv, e, b)
+    e = np.zeros((g.shape[0] + 2, g.shape[1] + 2))
+    _smooth(lv, e, g)
     if len(levels) > 1:
-        (mx, my), (cx, cy) = b.shape, levels[1].cy.shape
+        (mx, my), (cx, cy) = g.shape, levels[1].cy.shape
         px, py = _hat(mx, cx), _hat(my, cy)
         scale = (cx + 1) / (mx + 1) * ((cy + 1) / (my + 1))  # (hx / Hx) (hy / Hy)
-        coarse = _vcycle(levels[1:], scale * (px.T @ (b - lv.apply(e)) @ py))
+        coarse = _vcycle(levels[1:], scale * (px.T @ (g - lv.apply(e)) @ py))
         e[1:-1, 1:-1] += px @ coarse @ py.T
-        _smooth(lv, e, b)
+        _smooth(lv, e, g)
     return e[1:-1, 1:-1]
+
+
+def _newton_correction(levels: list[_Level], res: np.ndarray, target: float, budget: int):
+    """(d, cycles): V-cycles on J d = -res from d = 0, J = levels[0]'s operator.
+
+    Each cycle's correction e is scaled by the alpha that minimises the RMS
+    of the new linear residual r - alpha J e (one minimal-residual step).
+    Stops once max |J d + res| <= target, after budget cycles, or at the
+    first cycle that fails to lower the RMS of J d + res below _STALL times
+    its last value, whose correction is dropped: d is the best step met, or
+    None when the first cycle already stalled.
+    """
+    jac, d, r = levels[0], None, -res
+    best = float(np.sqrt(np.mean(r * r)))
+    cycles = 0
+    while cycles < budget:
+        e = _vcycle(levels, r)
+        je = jac.apply(np.pad(e, 1))
+        cycles += 1
+        trial = float(np.vdot(r, je) / np.vdot(je, je)) * e
+        if d is not None:
+            trial += d
+        # the residual of the sum, not r - alpha J e, whose rounding drifts
+        r_trial = -res - jac.apply(np.pad(trial, 1))
+        rms = float(np.sqrt(np.mean(r_trial * r_trial)))
+        if not rms <= _STALL * best:
+            break
+        d, r, best = trial, r_trial, rms
+        if float(np.max(np.abs(r))) <= target:
+            break
+    return d, cycles
+
+
+class _Iterate(NamedTuple):
+    """An iterate f with its frozen operator, its residual R(f), the RMS and
+    max norm of R, and the b of the Jacobian at f."""
+
+    f: np.ndarray
+    lv: _Level
+    res: np.ndarray
+    rms: float
+    residual: float
+    b: np.ndarray
+
+
+def _iterate(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> _Iterate:
+    """Linearise R at f: the branch is inverted once for c and F'(s)."""
+    coef, dcoef = _interior_coefficient(params, f, domain, derivative=True)
+    lv = _Level(coef, domain.hx, domain.hy)
+    res = lv.apply(f)
+    # a level with hx = inf has no x coupling: its apply is D_yy
+    b = dcoef * _Level(1.0, np.inf, domain.hy).apply(f)
+    return _Iterate(f, lv, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), b)
 
 
 def solve_dirichlet(
@@ -300,10 +435,12 @@ def solve_dirichlet(
     m = F(min y^2 over the closed domain).  Unless m > 0 and m >= the floor,
     SingularParametersError (min(a_j) attained more than once, so m = 0 where
     the domain meets y = 0) or else DegeneracyEncounteredError refuses the
-    solve.  Boundary nodes carry phi exactly.  Each iteration runs one
-    multigrid V-cycle on the correction equation with the coefficient frozen,
-    then backtracks the step until the RMS residual decreases; iterations
-    counts the V-cycles.
+    solve.  Boundary nodes carry phi exactly.  Each step is an inexact
+    Newton step, V-cycles on one Jacobian hierarchy, or else the frozen-
+    coefficient step of one V-cycle (see the module docstring); either is
+    backtracked until the RMS residual decreases.  iterations counts the
+    V-cycles, which max_iterations bounds; NoConvergenceError is raised when
+    they run out or when neither kind of step lowers the residual.
     """
     if phi.domain != domain:
         raise DomainMismatchError("boundary data was built for a different domain")
@@ -315,30 +452,43 @@ def solve_dirichlet(
             raise SingularParametersError(f"min(a_j) has multiplicity > 1: {refusal}")
         raise DegeneracyEncounteredError(refusal)
 
-    def state(fa: np.ndarray) -> tuple[_Level, np.ndarray, float]:
-        """The iterate's operator, with a fresh coefficient, its residual and RMS residual."""
-        lv = _Level(_interior_coefficient(params, fa, domain), domain.hx, domain.hy)
-        res = lv.apply(fa)
-        return lv, res, float(np.sqrt(np.mean(res * res)))
-
-    f = transfinite_interpolant(phi)
-    lv, res, rms = state(f)
-    cycles = 0
-    while (residual := float(np.max(np.abs(res)))) > cfg.tolerance:
-        if cycles >= cfg.max_iterations:
-            raise NoConvergenceError(cycles, residual)
-        step = _vcycle(_levels(lv.coef, domain.hx, domain.hy), -res)
-        cycles += 1
+    def backtrack(it: _Iterate, step: np.ndarray) -> _Iterate | None:
+        """The first of f + step / 2^k, k = 0, ..., _MAX_HALVINGS, with a lower RMS residual."""
         for halvings in range(_MAX_HALVINGS + 1):
-            trial = f.copy()
+            trial = it.f.copy()
             trial[1:-1, 1:-1] += 0.5**halvings * step
-            trial_lv, trial_res, trial_rms = state(trial)
-            if trial_rms < rms:
-                break
-        else:
-            raise NoConvergenceError(cycles, residual)
-        f, lv, res, rms = trial, trial_lv, trial_res, trial_rms
+            new = _iterate(params, trial, domain)
+            if new.rms < it.rms:
+                return new
+        return None
 
-    field = ScalarField2D(domain, f)
-    return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=residual,
-                       ellipticity_margin=float(lv.coef.min()), ellipticity_bound=bound)
+    it = _iterate(params, transfinite_interpolant(phi), domain)
+    cycles = newton_steps = fallback_steps = 0
+    eta = _ETA0
+    while it.residual > cfg.tolerance:
+        if cycles >= cfg.max_iterations:
+            raise NoConvergenceError(cycles, it.residual)
+        # asking |J d + R| below tolerance / 2 buys nothing the stopping test needs
+        target = max(eta * it.residual, 0.5 * cfg.tolerance)
+        step, used = _newton_correction(_levels(it.lv, it.b), it.res, target, cfg.max_iterations - cycles)
+        cycles += used
+        new = None if step is None else backtrack(it, step)
+        if new is not None:
+            newton_steps += 1
+        else:
+            if cycles >= cfg.max_iterations:
+                raise NoConvergenceError(cycles, it.residual)
+            new = backtrack(it, _vcycle(_levels(it.lv), -it.res))
+            cycles += 1
+            if new is None:
+                raise NoConvergenceError(cycles, it.residual)
+            fallback_steps += 1
+        safeguard = _EW_GAMMA * eta**_EW_ALPHA
+        eta = min(_ETA0, max(_EW_GAMMA * (new.residual / it.residual) ** _EW_ALPHA,
+                             safeguard if safeguard > 0.1 else 0.0))
+        it = new
+
+    field = ScalarField2D(domain, it.f)
+    return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=it.residual,
+                       ellipticity_margin=float(it.lv.coef.min()), ellipticity_bound=bound,
+                       newton_steps=newton_steps, fallback_steps=fallback_steps)

@@ -175,6 +175,28 @@ def test_array_solver_matches_scalar(rng):
         assert np.all(np.abs(t - ref) <= 2 * np.spacing(ref)), a
 
 
+def test_p_and_dp_gives_the_second_derivative_only_when_asked(rng):
+    # P = (w + 1)(w + 2)(w + 3): P'' = 6w + 12
+    a, w = (1.0, 2.0, 3.0), rng.uniform(-4.0, 4.0, 16)
+    p, dp = branch._p_and_dp(a, w)
+    assert np.array_equal(branch._p_and_dp(a, w, second=True)[:2], (p, dp))
+    assert np.allclose(branch._p_and_dp(a, w, second=True)[2], 6.0 * w + 12.0, rtol=0, atol=1e-12)
+    assert len(branch._p_and_dp(a, 0.5)) == 2
+
+
+def test_ellipticity_derivative_is_the_chain_rule(rng):
+    # n = 3: F(s) = sqrt((a1 - a2)^2 + 4 s), so F'(s) = 2 / F(s)
+    params, s = params_from_levels((1.0, -1.0)), rng.uniform(0.0, 10.0, 32)
+    f, df = ellipticity_array(params, s, derivative=True)
+    assert np.array_equal(f, ellipticity_array(params, s))
+    assert np.allclose(df, 2.0 / f, rtol=1e-14, atol=0)
+    # n = 5: against a central difference of F
+    params, h = params_from_levels((1.0, 0.25, -1.0, 3.0)), 1e-5
+    s = rng.uniform(0.1, 10.0, 32)
+    numeric = (ellipticity_array(params, s + h) - ellipticity_array(params, s - h)) / (2 * h)
+    assert np.allclose(ellipticity_array(params, s, derivative=True)[1], numeric, rtol=1e-8, atol=0)
+
+
 def test_branch_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(branch, "_MAX_NEWTON", 1)
     params = params_from_levels((1.0, -1.0))

@@ -15,6 +15,7 @@ from slfold.errors import NonpositiveAlphaError
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
+from slfold.pde import solve_dirichlet
 
 CONFIG = """
 [params]
@@ -82,6 +83,21 @@ def test_solve_affine_boundary(tmp_path, cfg_path, capsys):
     assert report["ellipticity_margin"] > 0
     f = read_field_csv(out / "fields_f.csv")
     assert f.domain.nx == 17
+
+
+def test_solve_report_counts_newton_and_fallback_steps(tmp_path):
+    # iterations counts V-cycles, newton_steps and fallback_steps the steps
+    dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0.3 * y)
+    path = tmp_path / "run.toml"
+    path.write_text(CONFIG.replace('kind = "affine"\ncoefficients = [1.5, 0.5, -0.5]',
+                                   f'kind = "inline"\nvalues = [{", ".join(map(repr, phi.values.tolist()))}]'))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    sol = solve_dirichlet(branch.params_from_levels((1.0, -1.0)), dom, phi)
+    assert (report["iterations"], report["newton_steps"], report["fallback_steps"]) == (
+        sol.iterations, sol.newton_steps, sol.fallback_steps)
+    assert sol.newton_steps == 4 and sol.fallback_steps == 0
 
 
 def test_solve_is_deterministic(tmp_path, cfg_path):

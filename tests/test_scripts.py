@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["calibration_sweep.py", "hl_survey.py", "refinement_study.py"])
+@pytest.mark.parametrize(
+    "script", ["calibration_sweep.py", "hl_survey.py", "refinement_study.py", "solver_table.py"]
+)
 def test_script_runs(script):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
