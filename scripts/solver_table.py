@@ -1,7 +1,7 @@
 """The solver baseline table of ROADMAP.md, row by row.
 
 Solves each row's Dirichlet problem on [-1,1]^2 with solve_dirichlet and
-prints its V-cycles, Newton steps, fallback (frozen-coefficient) steps, the
+prints its V-cycles, accepted Newton steps, rejected steps, the
 exit code `slfold solve` would give (0 converged, 2 no convergence), the
 final residual and the wall time.  The tolerance is the default 1e-10,
 except 1e-9 for the stall case.
@@ -37,7 +37,7 @@ ROWS = (
 
 
 def main() -> int:
-    print(f"{'levels':>33} {'data':>13} {'grid':>6} {'cycles':>6} {'newton':>6} {'fallback':>8} "
+    print(f"{'levels':>33} {'data':>13} {'grid':>6} {'cycles':>6} {'newton':>6} {'rejected':>8} "
           f"{'exit':>4} {'residual':>9} {'seconds':>7}")
     for levels, label, fn, sides, tol in ROWS:
         params = params_from_levels(levels)
@@ -47,12 +47,12 @@ def main() -> int:
             t0 = time.perf_counter()
             try:
                 sol = solve_dirichlet(params, dom, phi, SolverConfig(tolerance=tol))
-                row = (sol.iterations, sol.newton_steps, sol.fallback_steps, 0, sol.final_residual)
+                row = (sol.iterations, sol.newton_steps, sol.rejected_steps, 0, sol.final_residual)
             except NoConvergenceError as exc:
                 row = (exc.iterations, "-", "-", 2, exc.residual)
             dt = time.perf_counter() - t0
-            cycles, newton, fallback, code, residual = row
-            print(f"{str(levels):>33} {label:>13} {m:>4}^2 {cycles:>6} {newton:>6} {fallback:>8} "
+            cycles, newton, rejected, code, residual = row
+            print(f"{str(levels):>33} {label:>13} {m:>4}^2 {cycles:>6} {newton:>6} {rejected:>8} "
                   f"{code:>4} {residual:>9.2e} {dt:>7.2f}")
     return 0
 

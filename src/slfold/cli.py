@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
         "converged": True,
         "iterations": sol.iterations,
         "newton_steps": sol.newton_steps,
-        "fallback_steps": sol.fallback_steps,
+        "rejected_steps": sol.rejected_steps,
         "final_residual": sol.final_residual,
         "ellipticity_margin": sol.ellipticity_margin,
         "ellipticity_bound": sol.ellipticity_bound,

@@ -11,19 +11,23 @@ current iterate.  The Dirichlet solver runs inexact Newton on the discrete
 residual R(f) = D_xx f + c D_yy f, c = F(s) = P'(w(s)), s = (D_x f)^2 + y^2
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Its exact
 Jacobian is J e = D_xx e + c D_yy e + b D_x e with b = 2 F'(s) D_x f D_yy f
-and F'(s) = P''(w)/P'(w).  Each Newton step builds one multigrid hierarchy
-for J and runs V-cycles on it (Briggs, Henson & McCormick, A Multigrid
-Tutorial, 2000), each cycle's correction scaled to minimise the RMS of the
-linear residual, until |J d + R| <= eta |R| in the max norm, with eta from
-Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996), floored where
-the tolerance asks for no more.  The cycles stop early at the first one
-that fails to cut the linear residual's RMS by a tenth, keeping the best
-step: repeated V-cycles on one operator can diverge after a deep descent
-when c varies strongly, and stall where b dominates.  The step is then
-backtracked until the RMS residual decreases.  A step whose first cycle
-already stalls, or that the backtracking rejects, falls back to the frozen-
-coefficient (Picard) step: one V-cycle for the operator with b = 0,
-backtracked the same way.
+and F'(s) = P''(w)/P'(w).  Each step builds one multigrid hierarchy for
+J - sigma I (Briggs, Henson & McCormick, A Multigrid Tutorial, 2000) and
+solves (J - sigma I) d = -R by FGMRES, right-preconditioned by one V-cycle
+per Krylov vector (Saad, SIAM J. Sci. Comput. 14, 1993), until
+|(J - sigma I) d + R| <= eta |R| in the max norm, with eta from Eisenstat &
+Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996), floored where the
+tolerance asks for no more.  The first Krylov vector is the V-cycle's
+correction scaled to minimise the linear residual; the later ones keep the
+step converging where repeated V-cycles on one operator diverge after a deep
+descent, when c varies strongly, or stall, where b dominates.  The shift is
+pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+1998): sigma starts at 0, so the steps are Newton steps; a step that does
+not lower the RMS residual is rejected and retried from the same iterate
+with sigma raised to max(4 sigma, 1), which shortens it towards the explicit
+pseudo-time step R / sigma; an accepted step scales sigma by the ratio of
+the new RMS residual to the old.  A rejected trial equal to the iterate bit
+for bit ends the solve, as no larger shift can move it.
 
 Each interior side m coarsens to max(1, (m - 1) // 2) until a side is 1,
 where one smoothing sweep is an exact solve; c and b reach the coarse grids
@@ -36,8 +40,8 @@ functions, which is full weighting and bilinear interpolation where the
 grids nest.  The smoother's batched tridiagonal line systems, with unequal
 off-diagonals 1/hx^2 -+ b/(2 hx) along x, are solved by parallel cyclic
 reduction, in ceil(log2 L) vector steps for lines of L unknowns; they are
-factored once per level and hierarchy, and every V-cycle of a Newton step
-reuses them.  Ellipticity is checked once, against an a-priori bound on
+factored once per level and hierarchy, and every V-cycle of a step reuses
+them.  Ellipticity is checked once, against an a-priori bound on
 every iterate.
 """
 
@@ -59,14 +63,11 @@ from .errors import (
 )
 from .grid import BoundaryData, GridDomain, ScalarField2D, require_same_domain
 
-# Step halvings tried before a step counts as rejected.
-_MAX_HALVINGS = 8
 # Eisenstat-Walker choice 2: eta_k = gamma (|R_k| / |R_k-1|)^alpha, from eta_0,
 # safeguarded by gamma eta_k-1^alpha where that exceeds 0.1, and capped at eta_0.
 _ETA0, _EW_GAMMA, _EW_ALPHA = 0.5, 0.9, 2.0
-# A V-cycle that leaves more than this share of the linear residual's RMS has
-# stalled: the Jacobian's hierarchy serves the step no further.
-_STALL = 0.9
+# Krylov vectors, each one V-cycle, that one FGMRES step may build; no restart.
+_KRYLOV = 30
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,9 @@ class SolverConfig:
 class PdeSolution:
     """Converged f with u = f_y, v = f_x, its least interior P'(w) and the a-priori bound on it.
 
-    iterations counts V-cycles; newton_steps the steps taken with the
-    Jacobian and fallback_steps the frozen-coefficient steps taken in place
-    of a failed Newton step.
+    iterations counts V-cycles; newton_steps the accepted steps and
+    rejected_steps the steps that did not lower the RMS residual and were
+    retried with a larger shift.
     """
 
     f: ScalarField2D
@@ -103,7 +104,7 @@ class PdeSolution:
     ellipticity_margin: float
     ellipticity_bound: float
     newton_steps: int
-    fallback_steps: int
+    rejected_steps: int
 
 
 def _interior_coefficient(
@@ -199,11 +200,12 @@ class _LineFactor(NamedTuple):
 
 
 class _Level:
-    """The operator e_xx + c e_yy on one grid of the hierarchy, or that plus b e_x.
+    """The operator e_xx + c e_yy on one grid of the hierarchy, or J - sigma I.
 
     Without b (bx is None) this is the frozen operator, whose apply gives the
-    residual, and invx is the scalar 1/hx^2.  with_drift adds the Newton term
-    b e_x, bx = b/(2 hx) per node, and makes invx per node too.
+    residual, and invx is the scalar 1/hx^2.  with_drift makes the shifted
+    Jacobian e_xx + c e_yy + b e_x - sigma e, with bx = b/(2 hx) and invx
+    per node, which the V-cycle smooths.
     """
 
     def __init__(self, coef: np.ndarray, hx: float, hy: float):
@@ -212,8 +214,8 @@ class _Level:
         self.cy = coef / hy**2
         self.bx = None
 
-    def with_drift(self, b: np.ndarray, upwind: bool = False) -> _Level:
-        """This operator plus b e_x, sharing coef and cy with this level.
+    def with_drift(self, b: np.ndarray, sigma: float = 0.0, upwind: bool = False) -> _Level:
+        """This operator plus b e_x - sigma e, sharing coef and cy with this level.
 
         Central differences give the exact Jacobian.  With upwind, the x
         diffusion 1/hx^2 becomes 1/hx^2 + |b|/(2 hx), which is first-order
@@ -221,8 +223,7 @@ class _Level:
         |b| hx gets, as a coarse grid needs.
         """
         lv = copy.copy(self)
-        vars(lv).pop("lines", None)
-        lv.bx = b * (0.5 / self.hx)
+        lv.bx, lv.sigma = b * (0.5 / self.hx), sigma
         lv.invx = self.invx + np.abs(lv.bx) if upwind else np.full_like(b, self.invx)
         return lv
 
@@ -233,7 +234,7 @@ class _Level:
             e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
         )
         if self.bx is not None:
-            out += self.bx * (e[2:, 1:-1] - e[:-2, 1:-1])
+            out += self.bx * (e[2:, 1:-1] - e[:-2, 1:-1]) - self.sigma * mid
         return out
 
     @cached_property
@@ -243,38 +244,31 @@ class _Level:
         Built on the first smoothing sweep and reused by every later one on
         this level, in every V-cycle on the hierarchy, on the coarsest level too.
         """
-        diag = -2.0 * self.invx - 2.0 * self.cy
+        diag = -2.0 * self.invx - 2.0 * self.cy - self.sigma
         ylines = tuple(_pcr_factor(self.cy[p::2].T, self.cy[p::2].T, diag[p::2].T) for p in (0, 1))
-        if self.bx is None:
-            xoffs = [(self.invx, self.invx)] * 2
-        else:
-            lower, upper = self.invx - self.bx, self.invx + self.bx
-            xoffs = [(lower[:, p::2], upper[:, p::2]) for p in (0, 1)]
-        xlines = tuple(_pcr_factor(*xoffs[p], diag[:, p::2]) for p in (0, 1))
+        lower, upper = self.invx - self.bx, self.invx + self.bx
+        xlines = tuple(_pcr_factor(lower[:, p::2], upper[:, p::2], diag[:, p::2]) for p in (0, 1))
         return ylines, xlines
 
 
-def _levels(fine: _Level, b: np.ndarray | None = None) -> list[_Level]:
-    """The hierarchy under fine, plus b e_x on every level when b is given:
-    exact on fine, upwinded on the coarse levels.
+def _levels(fine: _Level, b: np.ndarray, sigma: float = 0.0) -> list[_Level]:
+    """The hierarchy of J - sigma I under the frozen level fine, J = fine + b e_x:
+    exact on fine, with b e_x upwinded on the coarse levels.
 
     Each interior side m coarsens to max(1, (m - 1) // 2) until a side is 1.
     Odd sides nest; an even side gets a coarse grid on the same interval.
-    The coarse c and b are the fine ones interpolated at the coarse nodes.
+    The coarse c and b are the fine ones interpolated at the coarse nodes;
+    sigma is the same on every level.
     """
-    levels = [fine if b is None else fine.with_drift(b)]
+    levels = [fine.with_drift(b, sigma)]
     coef, hx, hy = fine.coef, fine.hx, fine.hy
     while min(coef.shape) > 1:
         mx, my = coef.shape
         cx, cy = max(1, (mx - 1) // 2), max(1, (my - 1) // 2)
         px, py = _hat(cx, mx), _hat(cy, my)
-        coef = px @ coef @ py.T
+        coef, b = px @ coef @ py.T, px @ b @ py.T
         hx, hy = hx * ((mx + 1) / (cx + 1)), hy * ((my + 1) / (cy + 1))
-        lv = _Level(coef, hx, hy)
-        if b is not None:
-            b = px @ b @ py.T
-            lv = lv.with_drift(b, upwind=True)
-        levels.append(lv)
+        levels.append(_Level(coef, hx, hy).with_drift(b, sigma, upwind=True))
     return levels
 
 
@@ -340,10 +334,7 @@ def _smooth(lv: _Level, e: np.ndarray, g: np.ndarray) -> None:
     ylines, xlines = lv.lines
     for p in (0, 1):
         left, right = e[p : mx - 2 : 2, 1:-1], e[p + 2 :: 2, 1:-1]
-        if lv.bx is None:
-            rhs = g[p::2] - lv.invx * (left + right)
-        else:
-            rhs = g[p::2] - lv.invx[p::2] * (left + right) - lv.bx[p::2] * (right - left)
+        rhs = g[p::2] - lv.invx[p::2] * (left + right) - lv.bx[p::2] * (right - left)
         e[p + 1 : mx - 1 : 2, 1:-1] = _pcr_solve(ylines[p], rhs.T).T
     for p in (0, 1):
         rhs = g[:, p::2] - lv.cy[:, p::2] * (e[1:-1, p : my - 2 : 2] + e[1:-1, p + 2 :: 2])
@@ -369,35 +360,45 @@ def _vcycle(levels: list[_Level], g: np.ndarray) -> np.ndarray:
     return e[1:-1, 1:-1]
 
 
-def _newton_correction(levels: list[_Level], res: np.ndarray, target: float, budget: int):
-    """(d, cycles): V-cycles on J d = -res from d = 0, J = levels[0]'s operator.
+def _krylov_step(levels: list[_Level], res: np.ndarray, target: float, budget: int):
+    """(d, cycles): FGMRES on A d = -res from d = 0, A = levels[0]'s operator.
 
-    Each cycle's correction e is scaled by the alpha that minimises the RMS
-    of the new linear residual r - alpha J e (one minimal-residual step).
-    Stops once max |J d + res| <= target, after budget cycles, or at the
-    first cycle that fails to lower the RMS of J d + res below _STALL times
-    its last value, whose correction is dropped: d is the best step met, or
-    None when the first cycle already stalled.
+    Right-preconditioned by one V-cycle per Krylov vector (Saad, SIAM J. Sci.
+    Comput. 14, 1993), whose first vector is the V-cycle's correction scaled
+    to minimise the 2-norm of the linear residual.  The least-squares problem
+    on the Hessenberg matrix is kept triangular by Givens rotations.  Stops
+    once max |A d + res| <= target, after budget cycles, at _KRYLOV vectors
+    or when the Krylov space holds the solution.
     """
-    jac, d, r = levels[0], None, -res
-    best = float(np.sqrt(np.mean(r * r)))
-    cycles = 0
-    while cycles < budget:
-        e = _vcycle(levels, r)
-        je = jac.apply(np.pad(e, 1))
-        cycles += 1
-        trial = float(np.vdot(r, je) / np.vdot(je, je)) * e
-        if d is not None:
-            trial += d
-        # the residual of the sum, not r - alpha J e, whose rounding drifts
-        r_trial = -res - jac.apply(np.pad(trial, 1))
-        rms = float(np.sqrt(np.mean(r_trial * r_trial)))
-        if not rms <= _STALL * best:
+    op, r0 = levels[0], -res
+    beta = float(np.sqrt(np.vdot(r0, r0)))
+    vs, zs = [r0 / beta], []
+    h = np.zeros((_KRYLOV, _KRYLOV))  # the rotated, upper triangular Hessenberg matrix
+    rot = np.zeros((_KRYLOV, 2))  # (cos, sin) of each Givens rotation
+    g = np.zeros(_KRYLOV + 1)  # beta e_1, rotated: |g[j + 1]| is the residual's 2-norm
+    g[0] = beta
+    for j in range(min(_KRYLOV, budget)):
+        zs.append(_vcycle(levels, vs[j]))
+        w = op.apply(np.pad(zs[j], 1))
+        for i, v in enumerate(vs):  # modified Gram-Schmidt
+            h[i, j] = np.vdot(w, v)
+            w -= h[i, j] * v
+        norm = float(np.sqrt(np.vdot(w, w)))
+        for i, (c, sn) in enumerate(rot[:j]):
+            h[i, j], h[i + 1, j] = c * h[i, j] + sn * h[i + 1, j], c * h[i + 1, j] - sn * h[i, j]
+        rho = np.hypot(h[j, j], norm)
+        rot[j] = h[j, j] / rho, norm / rho
+        h[j, j] = rho
+        g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+        y = np.zeros(j + 1)
+        for i in range(j, -1, -1):  # back substitution
+            y[i] = (g[i] - h[i, i + 1 : j + 1] @ y[i + 1 :]) / h[i, i]
+        d = sum(yi * z for yi, z in zip(y, zs))
+        r = r0 - op.apply(np.pad(d, 1))
+        if float(np.max(np.abs(r))) <= target or norm == 0.0:
             break
-        d, r, best = trial, r_trial, rms
-        if float(np.max(np.abs(r))) <= target:
-            break
-    return d, cycles
+        vs.append(w / norm)
+    return d, j + 1
 
 
 class _Iterate(NamedTuple):
@@ -436,11 +437,11 @@ def solve_dirichlet(
     SingularParametersError (min(a_j) attained more than once, so m = 0 where
     the domain meets y = 0) or else DegeneracyEncounteredError refuses the
     solve.  Boundary nodes carry phi exactly.  Each step is an inexact
-    Newton step, V-cycles on one Jacobian hierarchy, or else the frozen-
-    coefficient step of one V-cycle (see the module docstring); either is
-    backtracked until the RMS residual decreases.  iterations counts the
-    V-cycles, which max_iterations bounds; NoConvergenceError is raised when
-    they run out or when neither kind of step lowers the residual.
+    Newton step on J - sigma I by FGMRES on the V-cycle, rejected and
+    retried with a larger shift sigma unless it lowers the RMS residual (see
+    the module docstring).  iterations counts the V-cycles, which
+    max_iterations bounds; NoConvergenceError is raised when they run out or
+    when a rejected step leaves the iterate unchanged.
     """
     if phi.domain != domain:
         raise DomainMismatchError("boundary data was built for a different domain")
@@ -452,37 +453,27 @@ def solve_dirichlet(
             raise SingularParametersError(f"min(a_j) has multiplicity > 1: {refusal}")
         raise DegeneracyEncounteredError(refusal)
 
-    def backtrack(it: _Iterate, step: np.ndarray) -> _Iterate | None:
-        """The first of f + step / 2^k, k = 0, ..., _MAX_HALVINGS, with a lower RMS residual."""
-        for halvings in range(_MAX_HALVINGS + 1):
-            trial = it.f.copy()
-            trial[1:-1, 1:-1] += 0.5**halvings * step
-            new = _iterate(params, trial, domain)
-            if new.rms < it.rms:
-                return new
-        return None
-
     it = _iterate(params, transfinite_interpolant(phi), domain)
-    cycles = newton_steps = fallback_steps = 0
-    eta = _ETA0
+    cycles = newton_steps = rejected_steps = 0
+    eta, sigma = _ETA0, 0.0
     while it.residual > cfg.tolerance:
         if cycles >= cfg.max_iterations:
             raise NoConvergenceError(cycles, it.residual)
         # asking |J d + R| below tolerance / 2 buys nothing the stopping test needs
         target = max(eta * it.residual, 0.5 * cfg.tolerance)
-        step, used = _newton_correction(_levels(it.lv, it.b), it.res, target, cfg.max_iterations - cycles)
+        step, used = _krylov_step(_levels(it.lv, it.b, sigma), it.res, target, cfg.max_iterations - cycles)
         cycles += used
-        new = None if step is None else backtrack(it, step)
-        if new is not None:
-            newton_steps += 1
-        else:
-            if cycles >= cfg.max_iterations:
-                raise NoConvergenceError(cycles, it.residual)
-            new = backtrack(it, _vcycle(_levels(it.lv), -it.res))
-            cycles += 1
-            if new is None:
-                raise NoConvergenceError(cycles, it.residual)
-            fallback_steps += 1
+        trial = it.f.copy()
+        trial[1:-1, 1:-1] += step
+        if np.array_equal(trial, it.f):  # no shift can move the iterate further
+            raise NoConvergenceError(cycles, it.residual)
+        new = _iterate(params, trial, domain)
+        if not new.rms < it.rms:
+            rejected_steps += 1
+            sigma = max(4.0 * sigma, 1.0)
+            continue
+        newton_steps += 1
+        sigma *= new.rms / it.rms
         safeguard = _EW_GAMMA * eta**_EW_ALPHA
         eta = min(_ETA0, max(_EW_GAMMA * (new.residual / it.residual) ** _EW_ALPHA,
                              safeguard if safeguard > 0.1 else 0.0))
@@ -491,4 +482,4 @@ def solve_dirichlet(
     field = ScalarField2D(domain, it.f)
     return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=it.residual,
                        ellipticity_margin=float(it.lv.coef.min()), ellipticity_bound=bound,
-                       newton_steps=newton_steps, fallback_steps=fallback_steps)
+                       newton_steps=newton_steps, rejected_steps=rejected_steps)

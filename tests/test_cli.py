@@ -85,8 +85,9 @@ def test_solve_affine_boundary(tmp_path, cfg_path, capsys):
     assert f.domain.nx == 17
 
 
-def test_solve_report_counts_newton_and_fallback_steps(tmp_path):
-    # iterations counts V-cycles, newton_steps and fallback_steps the steps
+def test_solve_report_counts_newton_and_rejected_steps(tmp_path):
+    # iterations counts V-cycles, newton_steps the accepted steps and
+    # rejected_steps those retried with a larger shift
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 17, 17)
     phi = BoundaryData.from_function(dom, lambda x, y: x**2 + 0.3 * y)
     path = tmp_path / "run.toml"
@@ -95,9 +96,9 @@ def test_solve_report_counts_newton_and_fallback_steps(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     sol = solve_dirichlet(branch.params_from_levels((1.0, -1.0)), dom, phi)
-    assert (report["iterations"], report["newton_steps"], report["fallback_steps"]) == (
-        sol.iterations, sol.newton_steps, sol.fallback_steps)
-    assert sol.newton_steps == 4 and sol.fallback_steps == 0
+    assert (report["iterations"], report["newton_steps"], report["rejected_steps"]) == (
+        sol.iterations, sol.newton_steps, sol.rejected_steps)
+    assert sol.newton_steps == 4 and sol.rejected_steps == 0
 
 
 def test_solve_is_deterministic(tmp_path, cfg_path):
