@@ -415,8 +415,8 @@ def verify_fields(
     """Check the calibration identities on interior frames of the fields (u, v).
 
     The interior nodes are taken with one stride in both directions, the
-    smallest that selects at most about max_frames of them, i outer and j
-    inner.  The partials, the branch shifts t and P'(w) come from the interior pass
+    smallest that selects at most max_frames of them, i outer and j inner.
+    The partials, the branch shifts t and P'(w) come from the interior pass
     of pde.residual_first_order, which the lift reuses (lift_nodes).
     Each selected node is skipped for the first SKIP_REASONS check it fails, in
     the order of the one-frame path (lift_point, tangent_frame,
@@ -430,9 +430,13 @@ def verify_fields(
     first_order = float(max(np.abs(r).max(initial=0.0) for r in residuals))
 
     dom = u.domain
-    stride = max(1, int(np.ceil(np.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames))))
+    mx, my = dom.nx - 2, dom.ny - 2
+    # no stride below sqrt(mx my / max_frames) keeps the cap: start there
+    stride = max(1, int(np.ceil(np.sqrt(mx * my / max_frames))))
+    while len(range(0, mx, stride)) * len(range(0, my, stride)) > max_frames:
+        stride += 1
     ii, jj = (g.ravel() for g in np.meshgrid(
-        np.arange(0, dom.nx - 2, stride), np.arange(0, dom.ny - 2, stride), indexing="ij"))
+        np.arange(0, mx, stride), np.arange(0, my, stride), indexing="ij"))
     partials = [d[ii, jj] for d in interior_partials]
     x, y, vv = dom.xs()[ii + 1], dom.ys()[jj + 1], v.values[ii + 1, jj + 1]
     theta, _, radicand, collapsed = lift_nodes(params, vv, y, t_in[ii, jj])

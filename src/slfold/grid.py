@@ -26,6 +26,8 @@ class GridDomain:
             raise ValueError("domain bounds must satisfy x0 < x1 and y0 < y1")
         if self.nx < 3 or self.ny < 3:
             raise ValueError("need at least 3 nodes per direction")
+        if not np.all(np.isfinite((self.x0, self.x1, self.y0, self.y1, self.hx, self.hy))):
+            raise ValueError("domain bounds and node spacings must be finite")
 
     @property
     def hx(self) -> float:

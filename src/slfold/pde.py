@@ -5,9 +5,11 @@ Potential form:          f_xx + P'(w) f_yy = 0 with (u, v) = (f_y, f_x) and
                          w the branch root of P(w) = f_x^2 + y^2.
 
 Discretisation is the 5-point second-order stencil, applied only by
-_Level.apply, for the residual as for the V-cycle; every first derivative is
-np.gradient's.  The nonlinear coefficient is evaluated nodewise from the
-current iterate.  The Dirichlet solver runs inexact Newton on the discrete
+_Level.apply; every first derivative is np.gradient's.  _Level is the one
+operator type, e_xx + c e_yy + b e_x - sigma e: the V-cycle's levels and the
+residual (b = 0, sigma = 0) are all built by its constructor, and _iterate is
+the one linearisation.  The nonlinear coefficient is evaluated nodewise from
+the current iterate.  The Dirichlet solver runs inexact Newton on the discrete
 residual R(f) = D_xx f + c D_yy f, c = F(s) = P'(w(s)), s = (D_x f)^2 + y^2
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Its exact
 Jacobian is J e = D_xx e + c D_yy e + b D_x e with b = 2 F'(s) D_x f D_yy f
@@ -47,7 +49,6 @@ every iterate.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -107,25 +108,9 @@ class PdeSolution:
     rejected_steps: int
 
 
-def _interior_coefficient(
-    params: ReductionParams, f: np.ndarray, domain: GridDomain, derivative: bool = False
-):
-    """P'(w) at interior nodes with s = (D_x f)^2 + y^2 from the iterate.
-
-    With derivative, (P'(w), 2 F'(s) D_x f): the coefficient and its
-    derivative with respect to D_x f, from one branch inversion.
-    """
-    fx = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
-    s = fx * fx + domain.ys()[None, 1:-1] ** 2
-    if not derivative:
-        return ellipticity_array(params, s)
-    coef, slope = ellipticity_array(params, s, derivative=True)
-    return coef, 2.0 * slope * fx
-
-
 def ellipticity_field(params: ReductionParams, f: ScalarField2D) -> np.ndarray:
     """Public view of the assembled interior coefficient, shape (nx-2, ny-2)."""
-    return _interior_coefficient(params, f.values, f.domain)
+    return _iterate(params, f.values, f.domain).coef
 
 
 def residual_first_order(
@@ -158,8 +143,7 @@ def _first_order_interior(params: ReductionParams, u: ScalarField2D, v: ScalarFi
 
 def residual_potential(params: ReductionParams, f: ScalarField2D) -> ScalarField2D:
     """D_xx f + P'(w) D_yy f at interior nodes, coefficient from D_x f."""
-    coef = _interior_coefficient(params, f.values, f.domain)
-    return ScalarField2D(f.domain, np.pad(_Level(coef, f.domain.hx, f.domain.hy).apply(f.values), 1))
+    return ScalarField2D(f.domain, np.pad(_iterate(params, f.values, f.domain).res, 1))
 
 
 def recover_uv(f: ScalarField2D) -> tuple[ScalarField2D, ScalarField2D]:
@@ -200,32 +184,21 @@ class _LineFactor(NamedTuple):
 
 
 class _Level:
-    """The operator e_xx + c e_yy on one grid of the hierarchy, or J - sigma I.
+    """The operator J - sigma I, e_xx + c e_yy + b e_x - sigma e, on one grid of the hierarchy.
 
-    Without b (bx is None) this is the frozen operator, whose apply gives the
-    residual, and invx is the scalar 1/hx^2.  with_drift makes the shifted
-    Jacobian e_xx + c e_yy + b e_x - sigma e, with bx = b/(2 hx) and invx
-    per node, which the V-cycle smooths.
+    Central differences of b e_x give the exact Jacobian.  With upwind, the
+    x diffusion 1/hx^2 becomes 1/hx^2 + |b|/(2 hx), which is first-order
+    upwinding of b e_x: both x-couplings stay >= 1/hx^2 however large
+    |b| hx gets, as a coarse grid needs.  With b = 0 and sigma = 0 the
+    operator is e_xx + c e_yy, whose apply gives the residual; hx = inf
+    drops the x terms, and with c = 1 leaves D_yy.
     """
 
-    def __init__(self, coef: np.ndarray, hx: float, hy: float):
-        self.coef, self.hx, self.hy = coef, hx, hy
-        self.invx = 1.0 / hx**2
+    def __init__(self, coef: float | np.ndarray, b: float | np.ndarray, hx: float, hy: float,
+                 sigma: float = 0.0, upwind: bool = False):
         self.cy = coef / hy**2
-        self.bx = None
-
-    def with_drift(self, b: np.ndarray, sigma: float = 0.0, upwind: bool = False) -> _Level:
-        """This operator plus b e_x - sigma e, sharing coef and cy with this level.
-
-        Central differences give the exact Jacobian.  With upwind, the x
-        diffusion 1/hx^2 becomes 1/hx^2 + |b|/(2 hx), which is first-order
-        upwinding of b e_x: both x-couplings stay >= 1/hx^2 however large
-        |b| hx gets, as a coarse grid needs.
-        """
-        lv = copy.copy(self)
-        lv.bx, lv.sigma = b * (0.5 / self.hx), sigma
-        lv.invx = self.invx + np.abs(lv.bx) if upwind else np.full_like(b, self.invx)
-        return lv
+        self.bx, self.sigma = b * (0.5 / hx), sigma
+        self.invx = 1.0 / hx**2 + np.abs(self.bx) if upwind else np.full_like(self.bx, 1.0 / hx**2)
 
     def apply(self, e: np.ndarray) -> np.ndarray:
         """Operator on the interior of a full array, with whatever boundary values it holds."""
@@ -233,8 +206,7 @@ class _Level:
         out = (e[2:, 1:-1] - 2.0 * mid + e[:-2, 1:-1]) * self.invx + self.cy * (
             e[1:-1, 2:] - 2.0 * mid + e[1:-1, :-2]
         )
-        if self.bx is not None:
-            out += self.bx * (e[2:, 1:-1] - e[:-2, 1:-1]) - self.sigma * mid
+        out += self.bx * (e[2:, 1:-1] - e[:-2, 1:-1]) - self.sigma * mid
         return out
 
     @cached_property
@@ -251,24 +223,23 @@ class _Level:
         return ylines, xlines
 
 
-def _levels(fine: _Level, b: np.ndarray, sigma: float = 0.0) -> list[_Level]:
-    """The hierarchy of J - sigma I under the frozen level fine, J = fine + b e_x:
-    exact on fine, with b e_x upwinded on the coarse levels.
+def _levels(coef: np.ndarray, b: np.ndarray, hx: float, hy: float, sigma: float = 0.0) -> list[_Level]:
+    """The hierarchy of J - sigma I for c = coef and b on the grid of spacings hx, hy:
+    exact on the finest level, with b e_x upwinded on the coarse levels.
 
     Each interior side m coarsens to max(1, (m - 1) // 2) until a side is 1.
     Odd sides nest; an even side gets a coarse grid on the same interval.
     The coarse c and b are the fine ones interpolated at the coarse nodes;
     sigma is the same on every level.
     """
-    levels = [fine.with_drift(b, sigma)]
-    coef, hx, hy = fine.coef, fine.hx, fine.hy
+    levels = [_Level(coef, b, hx, hy, sigma)]
     while min(coef.shape) > 1:
         mx, my = coef.shape
         cx, cy = max(1, (mx - 1) // 2), max(1, (my - 1) // 2)
         px, py = _hat(cx, mx), _hat(cy, my)
         coef, b = px @ coef @ py.T, px @ b @ py.T
         hx, hy = hx * ((mx + 1) / (cx + 1)), hy * ((my + 1) / (cy + 1))
-        levels.append(_Level(coef, hx, hy).with_drift(b, sigma, upwind=True))
+        levels.append(_Level(coef, b, hx, hy, sigma, upwind=True))
     return levels
 
 
@@ -402,11 +373,11 @@ def _krylov_step(levels: list[_Level], res: np.ndarray, target: float, budget: i
 
 
 class _Iterate(NamedTuple):
-    """An iterate f with its frozen operator, its residual R(f), the RMS and
-    max norm of R, and the b of the Jacobian at f."""
+    """An iterate f with its interior coefficient c, its residual R(f), the
+    RMS and max norm of R, and the b of the Jacobian at f."""
 
     f: np.ndarray
-    lv: _Level
+    coef: np.ndarray
     res: np.ndarray
     rms: float
     residual: float
@@ -414,13 +385,14 @@ class _Iterate(NamedTuple):
 
 
 def _iterate(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> _Iterate:
-    """Linearise R at f: the branch is inverted once for c and F'(s)."""
-    coef, dcoef = _interior_coefficient(params, f, domain, derivative=True)
-    lv = _Level(coef, domain.hx, domain.hy)
-    res = lv.apply(f)
-    # a level with hx = inf has no x coupling: its apply is D_yy
-    b = dcoef * _Level(1.0, np.inf, domain.hy).apply(f)
-    return _Iterate(f, lv, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), b)
+    """Linearise R at f: c = F(s) with s = (D_x f)^2 + y^2, and b = 2 F'(s) D_x f D_yy f,
+    from one branch inversion."""
+    fx = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
+    coef, slope = ellipticity_array(params, fx * fx + domain.ys()[None, 1:-1] ** 2, derivative=True)
+    res = _Level(coef, 0.0, domain.hx, domain.hy).apply(f)
+    # a level with hx = inf has no x coupling: with c = 1 its apply is D_yy
+    b = 2.0 * slope * fx * _Level(1.0, 0.0, np.inf, domain.hy).apply(f)
+    return _Iterate(f, coef, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), b)
 
 
 def solve_dirichlet(
@@ -461,7 +433,8 @@ def solve_dirichlet(
             raise NoConvergenceError(cycles, it.residual)
         # asking |J d + R| below tolerance / 2 buys nothing the stopping test needs
         target = max(eta * it.residual, 0.5 * cfg.tolerance)
-        step, used = _krylov_step(_levels(it.lv, it.b, sigma), it.res, target, cfg.max_iterations - cycles)
+        step, used = _krylov_step(_levels(it.coef, it.b, domain.hx, domain.hy, sigma), it.res, target,
+                                  cfg.max_iterations - cycles)
         cycles += used
         trial = it.f.copy()
         trial[1:-1, 1:-1] += step
@@ -481,5 +454,5 @@ def solve_dirichlet(
 
     field = ScalarField2D(domain, it.f)
     return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=it.residual,
-                       ellipticity_margin=float(it.lv.coef.min()), ellipticity_bound=bound,
+                       ellipticity_margin=float(it.coef.min()), ellipticity_bound=bound,
                        newton_steps=newton_steps, rejected_steps=rejected_steps)

@@ -29,7 +29,7 @@ from slfold.errors import (
     SlfoldError,
     ZeroRadiusError,
 )
-from slfold.families import HLConfig, hl_partials, hl_triple
+from slfold.families import AffineSolution, HLConfig, affine_fields, hl_partials, hl_triple
 from slfold.grid import GridDomain, ScalarField2D
 
 from conftest import random_params
@@ -540,13 +540,18 @@ def _reference_fit(n, vecs):
     return float(coef[-1]), float(np.linalg.norm(a_real @ coef - b_real)) / (scale or 1.0)
 
 
+def _least_stride(mx, my, max_frames):
+    """The least stride that selects at most max_frames of mx * my interior nodes, by search."""
+    return next(s for s in range(1, max(mx, my) + 1) if math.ceil(mx / s) * math.ceil(my / s) <= max_frames)
+
+
 def _reference_verify(params, u, v, max_frames):
     """frames, skip counts by error type, and per-point rows, one frame at a time."""
     dom, n = u.domain, params.n
     xs, ys = dom.xs(), dom.ys()
     u_x, u_y = np.gradient(u.values, dom.hx, dom.hy)
     v_x, v_y = np.gradient(v.values, dom.hx, dom.hy)
-    stride = max(1, math.ceil(math.sqrt((dom.nx - 2) * (dom.ny - 2) / max_frames)))
+    stride = _least_stride(dom.nx - 2, dom.ny - 2, max_frames)
     skipped, points = Counter(), []
     for i in range(1, dom.nx - 1, stride):
         for j in range(1, dom.ny - 1, stride):
@@ -629,6 +634,22 @@ def test_verify_matches_frame_by_frame_reference(case, max_frames):
         for key in ("omega", "im_omega", "fit_residual"):
             assert abs(got[key] - ref[key]) <= 1e-13
         assert abs(got["gamma"] - ref["gamma"]) <= 1e-12 * max(1.0, abs(ref["gamma"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.integers(3, 40), st.integers(1, 50))
+def test_verify_frames_are_the_least_stride_within_max_frames(nx, ny, max_frames):
+    # --max-frames is a cap: the frames are the nodes of the least stride
+    # that selects at most max_frames, so stride - 1 would select more
+    params = params_from_levels((1.0, -1.0))
+    dom = GridDomain(-1.0, 1.0, 0.5, 1.5, nx, ny)
+    u, v = affine_fields(AffineSolution(1.5, 0.5, -0.5), dom)
+    report = verify_fields(params, u, v, max_frames)
+    least = _least_stride(nx - 2, ny - 2, max_frames)
+    ii, jj = np.meshgrid(np.arange(1, nx - 1, least), np.arange(1, ny - 1, least), indexing="ij")
+    assert report.skipped_frames == 0
+    assert report.frames <= max_frames
+    assert np.array_equal(report.points[:, :2], np.column_stack([dom.xs()[ii.ravel()], dom.ys()[jj.ravel()]]))
 
 
 @pytest.mark.parametrize("max_frames", [1, 12, 10_000])

@@ -408,6 +408,17 @@ def test_example_affine_rows(tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("argv", [
+    ["affine", "--domain=-1,inf,-1,1"],  # a bound that is not finite
+    ["hl", "--a", "1,0", "--domain=-1e308,1e308,0.5,1"],  # a width that overflows to inf
+], ids=["infinite-bound", "overflowing-width"])
+def test_example_refuses_a_domain_that_is_not_finite(tmp_path, capsys, argv):
+    out = tmp_path / "rows.csv"
+    assert main(["example", *argv, "--out", str(out)]) == 1
+    assert "error: domain bounds and node spacings must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Written by the per-node affine_uv loop the command used before it built columns.
 AFFINE_GOLDEN = """\
 x,y,u,v
@@ -838,6 +849,13 @@ def test_field_commands_without_domain_section(tmp_path, command):
 def test_wind_without_config(tmp_path, capsys):
     assert main(_field_argv(tmp_path, "wind", None)) == 0
     assert "winding=0" in capsys.readouterr().out
+
+
+def test_solve_refuses_an_infinite_domain_bound_exit1(tmp_path, capsys):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace("x1 = 1.0", "x1 = inf"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: domain bounds and node spacings must be finite" in capsys.readouterr().err
 
 
 def test_solve_without_domain_section_exit1(tmp_path, capsys):

@@ -17,7 +17,8 @@ to ``json.dumps``.  The finite-difference scans keep the solver's discrete
 calculus in ``pde``: no other module of src/ or scripts/ calls
 ``np.gradient``, and no code but ``pde._Level.apply`` takes one name sliced
 ``2:`` and ``:-2`` along one axis in one expression, the idiom of central and
-second differences.
+second differences.  The operator scan keeps one operator type: no code of
+src/ but ``pde._levels`` and ``pde._iterate`` calls ``_Level``.
 """
 
 import ast
@@ -285,4 +286,35 @@ def test_finite_differences_live_in_pde():
             lines = difference_stencils(source) + gradient_calls(source)
         if lines:
             found[str(p.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def level_constructions(source: str, allowed: tuple[str, ...] = ()) -> list[int]:
+    """Lines that call _Level, by name or as an attribute, outside the
+    module-level functions named in allowed."""
+    tree = ast.parse(source)
+    skip = {id(inner) for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in allowed for inner in ast.walk(node)}
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in skip
+                   and "_Level" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))})
+
+
+def test_scan_flags_level_constructions():
+    source = (
+        "from . import pde\nfrom .pde import _Level\n"
+        "def _levels(c, b):\n    return [_Level(c, b, 1.0, 1.0)]\n"
+        "def frozen(c):\n    return _Level(c, 0.0, 1.0, 1.0)\n"
+        "class _Drift:\n    def _levels(self):\n        return pde._Level(1.0, 0.0, 1.0, 1.0)\n"
+        "lv = _Level\nop = _Levels(1.0)\n"
+    )
+    assert level_constructions(source, allowed=("_levels",)) == [6, 9]
+    assert level_constructions(source) == [4, 6, 9]
+
+
+def test_only_levels_and_iterate_build_operators():
+    found = {
+        str(p.relative_to(ROOT)): lines
+        for p in sorted((ROOT / "src").rglob("*.py"))
+        if (lines := level_constructions(p.read_text(), ("_levels", "_iterate") if p.name == "pde.py" else ()))
+    }
     assert found == {}

@@ -384,7 +384,7 @@ def test_vcycle_contracts_anisotropic_error(scale):
     }
     for shape, shapes in hierarchies.items():
         coef = scale * rng.uniform(0.5, 2.0, shape)
-        levels = _levels(_Level(coef, 2 / (shape[0] + 1), 2 / (shape[1] + 1)), np.zeros(shape))
+        levels = _levels(coef, np.zeros(shape), 2 / (shape[0] + 1), 2 / (shape[1] + 1))
         assert [lv.cy.shape for lv in levels] == shapes
         # the dense 5-point operator, one column per unit vector
         units = np.eye(coef.size).reshape(coef.size, *shape)
@@ -396,7 +396,7 @@ def test_vcycle_contracts_anisotropic_error(scale):
 
 
 def test_levels_coarsen_even_sides_to_a_side_of_one():
-    levels = _levels(_Level(np.ones((128, 128)), 2 / 129, 2 / 129), np.zeros((128, 128)))
+    levels = _levels(np.ones((128, 128)), np.zeros((128, 128)), 2 / 129, 2 / 129)
     assert [lv.cy.shape for lv in levels] == [(m, m) for m in (128, 63, 31, 15, 7, 3, 1)]
 
 
@@ -430,7 +430,7 @@ def test_hat_transfers_are_full_weighting_and_bilinear_on_nested_grids(mx, my):
     assert same(0.25 * (px.T @ r @ py), full_weighting(r))
     assert same(px @ ec @ py.T, bilinear(ec))
     coef = rng.uniform(0.5, 2.0, (fx, fy))
-    assert np.array_equal(_levels(_Level(coef, 0.1, 0.1), np.zeros_like(coef))[1].cy, coef[1::2, 1::2] / 0.2**2)
+    assert np.array_equal(_levels(coef, np.zeros_like(coef), 0.1, 0.1)[1].cy, coef[1::2, 1::2] / 0.2**2)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 30, 64])
@@ -493,7 +493,7 @@ def test_jacobian_is_the_derivative_of_the_residual():
     f = field(lambda x, y: np.sin(2 * x + y) + x * x * y, dom).values
     e = np.pad(np.random.default_rng(3).standard_normal((19, 15)), 1)
     it = _iterate(params, f, dom)
-    je = it.lv.with_drift(it.b).apply(e)
+    je = _Level(it.coef, it.b, dom.hx, dom.hy).apply(e)
 
     def res(g):
         return residual_potential(params, ScalarField2D(dom, g)).values[1:-1, 1:-1]
@@ -501,7 +501,7 @@ def test_jacobian_is_the_derivative_of_the_residual():
     for eps in (1e-3, 1e-4):
         fd = (res(f + eps * e) - res(f - eps * e)) / (2 * eps)
         assert np.abs(fd - je).max() <= eps * scale
-        assert np.abs(fd - it.lv.apply(e)).max() >= 1e-3 * scale
+        assert np.abs(fd - _Level(it.coef, 0.0, dom.hx, dom.hy).apply(e)).max() >= 1e-3 * scale
 
 
 def test_jacobian_is_the_frozen_operator_at_an_affine_potential():
@@ -510,7 +510,8 @@ def test_jacobian_is_the_frozen_operator_at_an_affine_potential():
     it = _iterate(params_from_levels((1.0, 0.25, -1.0)), f, DOM)
     assert not np.any(it.b)
     e = np.pad(np.random.default_rng(5).standard_normal((15, 15)), 1)
-    assert np.array_equal(it.lv.with_drift(it.b).apply(e), it.lv.apply(e))
+    frozen = _Level(it.coef, 0.0, DOM.hx, DOM.hy)
+    assert np.array_equal(_Level(it.coef, it.b, DOM.hx, DOM.hy).apply(e), frozen.apply(e))
 
 
 def test_shifted_jacobian_is_j_less_sigma_e():
@@ -520,12 +521,12 @@ def test_shifted_jacobian_is_j_less_sigma_e():
     f = field(lambda x, y: np.sin(2 * x + y) + x * x * y, dom).values
     it = _iterate(params_from_levels((1.0, 0.25, -1.0)), f, dom)
     e = np.pad(np.random.default_rng(11).standard_normal((19, 15)), 1)
-    jac = it.lv.with_drift(it.b)
+    jac = _Level(it.coef, it.b, dom.hx, dom.hy)
     for sigma in (1.0, 37.5, 4.0**12):
-        shifted = it.lv.with_drift(it.b, sigma).apply(e)
+        shifted = _Level(it.coef, it.b, dom.hx, dom.hy, sigma).apply(e)
         expected = jac.apply(e) - sigma * e[1:-1, 1:-1]
         assert np.abs(shifted - expected).max() <= 1e-14 * np.abs(expected).max()
-        line = _levels(_Level(it.lv.coef[:, 7:8], dom.hx, dom.hy), it.b[:, 7:8], sigma)
+        line = _levels(it.coef[:, 7:8], it.b[:, 7:8], dom.hx, dom.hy, sigma)
         g = np.random.default_rng(13).standard_normal((19, 1))
         assert len(line) == 1
         assert np.abs(line[0].apply(np.pad(_vcycle(line, g), 1)) - g).max() <= 1e-12 * np.abs(g).max()
@@ -536,7 +537,7 @@ def _first_step(levels=(0.1, 0.0), nodes=33):
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nodes, nodes)
     phi = BoundaryData.from_function(dom, EXP_Y)
     it = _iterate(params_from_levels(levels), transfinite_interpolant(phi), dom)
-    return _levels(it.lv, it.b), it.res
+    return _levels(it.coef, it.b, dom.hx, dom.hy), it.res
 
 
 def test_one_krylov_vector_is_the_minimal_residual_vcycle():
@@ -577,7 +578,7 @@ def test_inner_cycles_stop_where_the_stationary_vcycle_diverges():
     assert sol.final_residual <= 1e-10
     assert (sol.iterations, sol.newton_steps, sol.rejected_steps) == (10, 4, 0)
     it = _iterate(params, transfinite_interpolant(phi), dom)
-    levels = _levels(it.lv, np.zeros_like(it.res))
+    levels = _levels(it.coef, np.zeros_like(it.res), dom.hx, dom.hy)
     d, norms = np.zeros_like(it.res), []
     for _ in range(16):
         r = -it.res - levels[0].apply(np.pad(d, 1))
