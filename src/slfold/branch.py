@@ -50,6 +50,8 @@ class ReductionParams:
             raise ValueError(f"dimension n must be >= 3, got {self.n}")
         if len(a) != self.n - 1:
             raise ValueError(f"need n-1 = {self.n - 1} parameters, got {len(a)}")
+        if not all(map(math.isfinite, a)):
+            raise ValueError(f"levels a must be finite, got {a}")
         amin = min(a)
         shifts = tuple(v - amin for v in a)
         # exact equality on purpose: the singular/nonsingular dichotomy is algebraic

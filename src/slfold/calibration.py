@@ -344,6 +344,7 @@ class VerifyReport:
     inner), with the columns POINT_COLUMNS; gamma_deviation holds
     |gamma P'(w) - (-1)^{2-n}| for the same frames.  skipped_by_reason counts
     the selected nodes left unchecked, by the name of each SKIP_REASONS type.
+    summary() gives the report's keys under their JSON names.
     """
 
     max_first_order_residual: float
@@ -351,61 +352,39 @@ class VerifyReport:
     gamma_deviation: np.ndarray  # shape (frames,)
     skipped_by_reason: dict[str, int]
 
-    @property
-    def frames(self) -> int:
-        return len(self.points)
-
-    @property
-    def skipped_frames(self) -> int:
-        return sum(self.skipped_by_reason.values())
-
-    def _max(self, column: str) -> float:
-        return float(self.points[:, POINT_COLUMNS.index(column)].max(initial=0.0))
-
-    def _argmax(self, column: str) -> tuple[float, float] | None:
-        """(x, y) of the first frame attaining the maximum, when that is above 0."""
-        values = self.points[:, POINT_COLUMNS.index(column)]
-        if not values.max(initial=0.0) > 0.0:
-            return None
-        k = int(np.argmax(values))
-        return float(self.points[k, 0]), float(self.points[k, 1])
-
-    @property
-    def max_omega_residual(self) -> float:
-        return self._max("omega")
-
-    @property
-    def argmax_omega(self) -> tuple[float, float] | None:
-        return self._argmax("omega")
-
-    @property
-    def max_im_omega_residual(self) -> float:
-        return self._max("im_omega")
-
-    @property
-    def argmax_im_omega(self) -> tuple[float, float] | None:
-        return self._argmax("im_omega")
-
-    @property
-    def max_gamma_deviation(self) -> float:
-        return float(self.gamma_deviation.max(initial=0.0))
-
-    @property
-    def max_fit_residual(self) -> float:
-        return self._max("fit_residual")
+    def summary(self) -> dict:
+        """Frame and skip counts and each maximum, 0 over no frames; an argmax_* is the
+        (x, y) of the first frame attaining the maximum, or None unless that is above 0."""
+        column = dict(zip(POINT_COLUMNS, self.points.T))
+        top = {c: float(values.max(initial=0.0)) for c, values in column.items()}
+        where = {c: tuple(self.points[np.argmax(column[c]), :2].tolist()) if top[c] > 0.0 else None
+                 for c in ("omega", "im_omega")}
+        return {
+            "frames": len(self.points),
+            "skipped_frames": sum(self.skipped_by_reason.values()),
+            "skipped_by_reason": self.skipped_by_reason,
+            "max_first_order_residual": self.max_first_order_residual,
+            "max_omega_residual": top["omega"],
+            "argmax_omega": where["omega"],
+            "max_im_omega_residual": top["im_omega"],
+            "argmax_im_omega": where["im_omega"],
+            "max_gamma_deviation": float(self.gamma_deviation.max(initial=0.0)),
+            "max_fit_residual": top["fit_residual"],
+        }
 
     def passes(self, first_order: float, omega: float, im_omega: float, gamma: float) -> bool:
         """At least one frame was checked and every maximum is within its budget.
 
         The fit residual shares the gamma budget.
         """
+        s = self.summary()
         return (
-            self.frames >= 1
-            and self.max_first_order_residual <= first_order
-            and self.max_omega_residual <= omega
-            and self.max_im_omega_residual <= im_omega
-            and self.max_gamma_deviation <= gamma
-            and self.max_fit_residual <= gamma
+            s["frames"] >= 1
+            and s["max_first_order_residual"] <= first_order
+            and s["max_omega_residual"] <= omega
+            and s["max_im_omega_residual"] <= im_omega
+            and s["max_gamma_deviation"] <= gamma
+            and s["max_fit_residual"] <= gamma
         )
 
 
@@ -439,18 +418,13 @@ def verify_fields(
         np.arange(0, mx, stride), np.arange(0, my, stride), indexing="ij"))
     partials = [d[ii, jj] for d in interior_partials]
     x, y, vv = dom.xs()[ii + 1], dom.ys()[jj + 1], v.values[ii + 1, jj + 1]
-    theta, _, radicand, collapsed = lift_nodes(params, vv, y, t_in[ii, jj])
+    theta, _, radicand, singular = lift_nodes(params, vv, y, t_in[ii, jj])
     p_prime = p_prime_in[ii, jj]
 
     # an index into SKIP_REASONS, or -1 for a frame to check
     reason = np.select(
-        [
-            collapsed & (params.min_multiplicity > 1),  # lift_point: no orbit to lift
-            np.any(radicand <= ZERO_RADIUS_FLOOR, axis=1),
-            collapsed,
-            p_prime < DEGENERACY_FLOOR,
-        ],
-        [0, 1, 0, 2],
+        [singular, np.any(radicand <= ZERO_RADIUS_FLOOR, axis=1), p_prime < DEGENERACY_FLOOR],
+        [0, 1, 2],
         default=-1,
     )
     checked = np.flatnonzero(reason < 0)

@@ -103,20 +103,11 @@ def cmd_solve(args) -> int:
             raise ConfigError(f"solve needs a [{section}] section")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    phi = cfg.boundary.resolve(cfg.domain)
-    try:
-        sol = solve_dirichlet(cfg.params, cfg.domain, phi, cfg.solver)
-    except NoConvergenceError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 2
+    sol = solve_dirichlet(cfg.params, cfg.domain, cfg.boundary.resolve(cfg.domain), cfg.solver)
+    summary = sol.summary()
     report = {
         "converged": True,
-        "iterations": sol.iterations,
-        "newton_steps": sol.newton_steps,
-        "rejected_steps": sol.rejected_steps,
-        "final_residual": sol.final_residual,
-        "ellipticity_margin": sol.ellipticity_margin,
-        "ellipticity_bound": sol.ellipticity_bound,
+        **summary,
         "grid": {"nx": cfg.domain.nx, "ny": cfg.domain.ny},
         "params": {"n": cfg.params.n, "a": list(cfg.params.a)},
         "tolerance": cfg.solver.tolerance,
@@ -143,8 +134,8 @@ def cmd_solve(args) -> int:
             write_field_csv(fld, out / f"{name}.csv", name=name)
         write_json(report, out / "report.json")
     print(
-        f"solved: iterations={sol.iterations} residual={sol.final_residual:.3e} "
-        f"ellipticity_margin={sol.ellipticity_margin:.6g}"
+        f"solved: iterations={summary['iterations']} residual={summary['final_residual']:.3e} "
+        f"ellipticity_margin={summary['ellipticity_margin']:.6g}"
     )
     return 0
 
@@ -152,39 +143,22 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_frames is not None and args.max_frames < 1:
         raise ConfigError(f"--max-frames must be >= 1, got {args.max_frames}")
+    budgets = {key: getattr(args, f"budget_{key}") for key in ("first_order", "omega", "im_omega", "gamma")}
+    for name, budget in budgets.items():
+        if not budget >= 0.0:  # inf is no bound
+            raise ConfigError(f"--budget-{name.replace('_', '-')} must be >= 0, got {budget}")
     cfg = load_config(args.config)
     u, v = _read_fields(cfg, args.u, args.v)
     report = verify_fields(cfg.params, u, v, args.max_frames or u.values.size)
-    budgets = {
-        "first_order": args.budget_first_order,
-        "omega": args.budget_omega,
-        "im_omega": args.budget_im_omega,
-        "gamma": args.budget_gamma,
-    }
     passed = report.passes(**budgets)
+    summary = report.summary()
     if args.report:
-        write_json(
-            {
-                "passed": passed,
-                "frames": report.frames,
-                "skipped_frames": report.skipped_frames,
-                "skipped_by_reason": report.skipped_by_reason,
-                "max_first_order_residual": report.max_first_order_residual,
-                "max_omega_residual": report.max_omega_residual,
-                "argmax_omega": report.argmax_omega,
-                "max_im_omega_residual": report.max_im_omega_residual,
-                "argmax_im_omega": report.argmax_im_omega,
-                "max_gamma_deviation": report.max_gamma_deviation,
-                "max_fit_residual": report.max_fit_residual,
-                "points": Records(POINT_COLUMNS, report.points),
-                "budgets": budgets,
-            },
-            args.report,
-        )
+        write_json({"passed": passed, **summary, "points": Records(POINT_COLUMNS, report.points),
+                    "budgets": budgets}, args.report)
     print(
-        f"verify: first_order={report.max_first_order_residual:.3e} "
-        f"omega={report.max_omega_residual:.3e} im_omega={report.max_im_omega_residual:.3e} "
-        f"gamma={report.max_gamma_deviation:.3e} fit={report.max_fit_residual:.3e} "
+        f"verify: first_order={summary['max_first_order_residual']:.3e} "
+        f"omega={summary['max_omega_residual']:.3e} im_omega={summary['max_im_omega_residual']:.3e} "
+        f"gamma={summary['max_gamma_deviation']:.3e} fit={summary['max_fit_residual']:.3e} "
         f"-> {'PASS' if passed else 'FAIL'}"
     )
     return 0 if passed else 4
@@ -251,6 +225,8 @@ def cmd_example(args) -> int:
         raise ConfigError(f"joyce needs --a with one nonzero value, got {args.a!r}")
     if args.s_count < 1:
         raise ConfigError(f"--s-count must be >= 1, got {args.s_count}")
+    if not np.isfinite(args.s_max):
+        raise ConfigError(f"--s-max must be finite, got {args.s_max}")
     a = float(args.a)
     s_grid = np.linspace(0.0, args.s_max, args.s_count)
     check = joyce_check(a, s_grid)

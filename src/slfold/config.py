@@ -173,11 +173,9 @@ def _run_config(data: dict) -> RunConfig:
     boundary = _boundary(_section(data, "boundary")) if "boundary" in data else None
 
     ssec = _section(data, "solver")
-    solver = SolverConfig(
-        tolerance=_number("tolerance", ssec.get("tolerance", 1e-10)),
-        max_iterations=_integer("max_iterations", ssec.get("max_iterations", 10_000)),
-        ellipticity_floor=_number("ellipticity_floor", ssec.get("ellipticity_floor", 1e-10)),
-    )
+    # SolverConfig holds the defaults of the keys left out
+    converters = {"tolerance": _number, "max_iterations": _integer, "ellipticity_floor": _number}
+    solver = SolverConfig(**{key: convert(key, ssec[key]) for key, convert in converters.items() if key in ssec})
 
     entries = _section(data, "outputs").get("entries", [])
     if not isinstance(entries, list):

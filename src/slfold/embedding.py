@@ -103,10 +103,12 @@ def _radicands(params: ReductionParams, t):
 def lift_nodes(
     params: ReductionParams, v: np.ndarray, y: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """(Theta, w, radicands w + a_j, v = y = 0 mask) of lift_point at every node of (v, y).
+    """(Theta, w, radicands w + a_j, singular mask) of lift_point at every node of (v, y).
 
-    t holds the nodes' branch shifts w(v^2 + y^2) - w0.  Theta is 0 on collapsed
-    nodes; no node is skipped.
+    t holds the nodes' branch shifts w(v^2 + y^2) - w0.  The mask marks the
+    nodes where lift_point raises SingularPointError: v = y = 0 with min(a_j)
+    attained more than once, so no orbit to lift.  Theta is 0 on every v = y = 0
+    node; no node is skipped.
     """
     base = np.empty(len(v), dtype=complex)
     base.real, base.imag = v, y  # as complex(v, y); v + 1j*y can flip the sign of a zero
@@ -115,7 +117,7 @@ def lift_nodes(
     theta = np.array([math.atan2(b, a) for a, b in zip(rotated.real.tolist(), rotated.imag.tolist())])
     collapsed = (v == 0.0) & (y == 0.0)
     theta[collapsed] = 0.0  # product of the z_j vanishes; the phase is immaterial
-    return theta, params.w0 + t, _radicands(params, t), collapsed
+    return theta, params.w0 + t, _radicands(params, t), collapsed & (params.min_multiplicity > 1)
 
 
 def moment_residual(params: ReductionParams, sample: EmbeddedSample) -> np.ndarray:
@@ -160,8 +162,8 @@ def sample_fields(
     dom = require_same_domain(u, v)
     x, y = (g.ravel() for g in np.meshgrid(dom.xs(), dom.ys(), indexing="ij"))
     vv = v.values.ravel()
-    theta, w, radicand, collapsed = lift_nodes(params, vv, y, _branch_t(params, vv * vv + y * y)[0])
-    keep = ~(collapsed & (params.min_multiplicity > 1))
+    theta, w, radicand, singular = lift_nodes(params, vv, y, _branch_t(params, vv * vv + y * y)[0])
+    keep = ~singular
     skipped = [divmod(k, dom.ny) for k in np.flatnonzero(~keep).tolist()]
 
     indices = itertools.product(range(torus_resolution), repeat=n - 2)

@@ -38,6 +38,10 @@ class AffineSolution:
     beta: float
     gamma: float
 
+    def __post_init__(self):
+        if not all(map(np.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise ValueError(f"alpha, beta and gamma must be finite, got {(self.alpha, self.beta, self.gamma)}")
+
 
 def affine_uv(sol: AffineSolution, x: float, y: float) -> tuple[float, float]:
     return sol.alpha * x + sol.beta, sol.alpha * y + sol.gamma
@@ -64,6 +68,8 @@ class HLConfig:
     def __post_init__(self):
         if self.params.a[-1] != 0.0:
             raise ValueError("the last parameter a_{n-1} must be exactly 0")
+        if not np.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
 
     @classmethod
     def from_head(cls, a_head: Sequence[float], b: float) -> "HLConfig":

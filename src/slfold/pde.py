@@ -49,7 +49,7 @@ every iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -94,7 +94,8 @@ class PdeSolution:
 
     iterations counts V-cycles; newton_steps the accepted steps and
     rejected_steps the steps that did not lower the RMS residual and were
-    retried with a larger shift.
+    retried with a larger shift.  summary() gives every field but the grids
+    f, u and v, the solver's keys of the run report.
     """
 
     f: ScalarField2D
@@ -106,6 +107,9 @@ class PdeSolution:
     ellipticity_bound: float
     newton_steps: int
     rejected_steps: int
+
+    def summary(self) -> dict:
+        return {k.name: getattr(self, k.name) for k in fields(self) if k.name not in ("f", "u", "v")}
 
 
 def ellipticity_field(params: ReductionParams, f: ScalarField2D) -> np.ndarray:

@@ -588,14 +588,7 @@ def _first_strict_max(points, key):
 def _verify_report(params, u, v, max_frames):
     """The verify report of (u, v) as a JSON-shaped dict."""
     report = verify_fields(params, u, v, max_frames)
-    return {
-        "frames": report.frames,
-        "skipped_frames": report.skipped_frames,
-        "skipped_by_reason": report.skipped_by_reason,
-        "argmax_omega": report.argmax_omega,
-        "argmax_im_omega": report.argmax_im_omega,
-        "points": [dict(zip(POINT_COLUMNS, row)) for row in report.points.tolist()],
-    }
+    return {**report.summary(), "points": [dict(zip(POINT_COLUMNS, row)) for row in report.points.tolist()]}
 
 
 PARITY_LEVELS = {
@@ -647,8 +640,9 @@ def test_verify_frames_are_the_least_stride_within_max_frames(nx, ny, max_frames
     report = verify_fields(params, u, v, max_frames)
     least = _least_stride(nx - 2, ny - 2, max_frames)
     ii, jj = np.meshgrid(np.arange(1, nx - 1, least), np.arange(1, ny - 1, least), indexing="ij")
-    assert report.skipped_frames == 0
-    assert report.frames <= max_frames
+    summary = report.summary()
+    assert summary["skipped_frames"] == 0
+    assert summary["frames"] <= max_frames
     assert np.array_equal(report.points[:, :2], np.column_stack([dom.xs()[ii.ravel()], dom.ys()[jj.ravel()]]))
 
 

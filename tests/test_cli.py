@@ -2,20 +2,22 @@ import hashlib
 import json
 import pathlib
 import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slfold import branch, families
+from slfold import branch, cli, families
+from slfold.calibration import verify_fields
 from slfold.cli import main
 from slfold.embedding import lift_point
 from slfold.errors import NonpositiveAlphaError
 from slfold.families import AffineSolution, affine_fields
 from slfold.fieldio import read_field_csv, write_field_csv
 from slfold.grid import BoundaryData, GridDomain, ScalarField2D, boundary_indices
-from slfold.pde import solve_dirichlet
+from slfold.pde import PdeSolution, solve_dirichlet
 
 CONFIG = """
 [params]
@@ -863,6 +865,90 @@ def test_solve_without_domain_section_exit1(tmp_path, capsys):
     cfg.write_text(CONFIG.replace(DOMAIN_SECTION, ""))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "config error: solve needs a [domain] section" in capsys.readouterr().err
+
+
+# --- report schemas ----------------------------------------------------------------
+
+def test_solve_report_keys_are_the_solution_fields_but_its_grids(tmp_path, cfg_path, monkeypatch):
+    # a field added to PdeSolution reaches report.json with no edit of the CLI
+    @dataclass(frozen=True, eq=False)
+    class Extended(PdeSolution):
+        stopped_by: str = "tolerance"
+
+    solve = cli.solve_dirichlet
+    monkeypatch.setattr(cli, "solve_dirichlet", lambda *args: Extended(**vars(solve(*args))))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    scalars = {f.name for f in fields(Extended)} - {"f", "u", "v"}
+    assert set(report) == {"converged", "grid", "params", "tolerance"} | scalars
+    assert report["stopped_by"] == "tolerance"
+    assert scalars - {f.name for f in fields(PdeSolution)} == {"stopped_by"}
+
+
+def test_verify_report_keys_are_the_summary_keys(tmp_path, cfg_path, capsys):
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp),
+                 "--max-frames", "50", "--report", str(path)]) == 0
+    report = json.loads(path.read_text())
+    summary = verify_fields(branch.params_from_levels((1.0, -1.0)), read_field_csv(up),
+                            read_field_csv(vp), 50).summary()
+    assert set(report) == {"passed", "points", "budgets"} | set(summary)
+    assert report == {**report, **json.loads(json.dumps(summary))}
+    assert capsys.readouterr().out == (
+        f"verify: first_order={summary['max_first_order_residual']:.3e} "
+        f"omega={summary['max_omega_residual']:.3e} im_omega={summary['max_im_omega_residual']:.3e} "
+        f"gamma={summary['max_gamma_deviation']:.3e} fit={summary['max_fit_residual']:.3e} -> PASS\n"
+    )
+
+
+# --- numbers that are not finite -----------------------------------------------------
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_solve_refuses_a_level_that_is_not_finite_exit1(tmp_path, capsys, recwarn, level):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace("a = [1.0, -1.0]", f"a = [1.0, {level}]"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: levels a must be finite, got (1.0, {level})" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["joyce", "--a", "1", "--s-max=nan"], "config error: --s-max must be finite, got nan"),
+    (["joyce", "--a", "1", "--s-max=inf"], "config error: --s-max must be finite, got inf"),
+    (["hl", "--a", "1,0", "--b", "nan"], "error: b must be finite, got nan"),
+    (["affine", "--alpha", "nan"], "error: alpha, beta and gamma must be finite, got (nan, 0.0, 0.0)"),
+], ids=["joyce-s-max-nan", "joyce-s-max-inf", "hl-b-nan", "affine-alpha-nan"])
+def test_example_refuses_a_number_that_is_not_finite_exit1(tmp_path, capsys, recwarn, argv, message):
+    out = tmp_path / "rows.csv"
+    assert main(["example", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("flag, value", [("--budget-omega", "nan"), ("--budget-gamma", "-1e-6")])
+def test_verify_refuses_a_nan_or_negative_budget_exit1(tmp_path, cfg_path, capsys, flag, value):
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp),
+                 f"{flag}={value}", "--report", str(report)]) == 1
+    assert f"config error: {flag} must be >= 0, got {float(value)}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_verify_takes_an_infinite_budget_as_no_bound(tmp_path, cfg_path):
+    # u + 0.01 x y fails the default budgets and passes with no bound on any of them
+    up, vp = write_affine_fields(tmp_path, 1.5, 0.5, -0.5)
+    u = read_field_csv(up)
+    x, y = np.meshgrid(u.domain.xs(), u.domain.ys(), indexing="ij")
+    write_field_csv(ScalarField2D(u.domain, u.values + 0.01 * x * y), up, name="u")
+    argv = ["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp)]
+    assert main(argv) == 4
+    assert main([*argv, *(f"--budget-{key}=inf" for key in ("first-order", "omega", "im-omega", "gamma"))]) == 0
 
 
 # --- field io ----------------------------------------------------------------------

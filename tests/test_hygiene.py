@@ -18,7 +18,10 @@ calculus in ``pde``: no other module of src/ or scripts/ calls
 ``np.gradient``, and no code but ``pde._Level.apply`` takes one name sliced
 ``2:`` and ``:-2`` along one axis in one expression, the idiom of central and
 second differences.  The operator scan keeps one operator type: no code of
-src/ but ``pde._levels`` and ``pde._iterate`` calls ``_Level``.
+src/ but ``pde._levels`` and ``pde._iterate`` calls ``_Level``.  The report
+scan keeps the report keys in the result types: ``cli`` reads a
+``VerifyReport`` only through ``summary()``, ``passes()`` and ``points``, and
+a ``PdeSolution`` only through ``summary()`` and its grids f, u and v.
 """
 
 import ast
@@ -318,3 +321,41 @@ def test_only_levels_and_iterate_build_operators():
         if (lines := level_constructions(p.read_text(), ("_levels", "_iterate") if p.name == "pde.py" else ()))
     }
     assert found == {}
+
+
+# What cli may read of the result of each library call: the report keys come from summary().
+CLI_RESULTS = {"verify_fields": {"summary", "passes", "points"}, "solve_dirichlet": {"summary", "f", "u", "v"}}
+
+
+def result_reads(source: str, allowed: dict[str, set[str]]) -> list[int]:
+    """Lines that read a name bound, in the same function, to a call of a key of
+    allowed, other than as name.attr with attr in that key's set."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                attrs = allowed.get(getattr(func, "id", None) or getattr(func, "attr", None))
+                bound.update((t.id, attrs) for t in node.targets if attrs and isinstance(t, ast.Name))
+        through = {id(node.value) for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.attr in bound.get(node.value.id, ())}
+        found.update(node.lineno for node in ast.walk(fn) if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load) and node.id in bound and id(node) not in through)
+    return sorted(found)
+
+
+def test_scan_flags_result_reads():
+    source = (
+        "def verify(args):\n    report = verify_fields(p, u, v, 9)\n    ok = report.passes(**b)\n"
+        "    print(report.max_omega_residual, report.summary())\n    write(report, report.points)\n"
+        "def solve(cfg):\n    sol = pde.solve_dirichlet(p, d, phi)\n"
+        "    write(sol.f, sol.u, sol.v, sol.summary(), report.frames)\n    return sol.iterations\n"
+    )
+    assert result_reads(source, CLI_RESULTS) == [4, 5, 9]
+
+
+def test_cli_reads_results_only_through_summary():
+    assert result_reads((ROOT / "src" / "slfold" / "cli.py").read_text(), CLI_RESULTS) == []
