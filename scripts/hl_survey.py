@@ -1,9 +1,9 @@
 """Survey of the gauge-constrained subfamily over a base grid.
 
 One hl_triples call, the array solve that `slfold example hl` runs, produces
-(u, v, w) at every grid point; the script reports the worst defect of every
-defining constraint and checks, via the implicit partial derivatives at each
-solved point, that the subfamily satisfies the reduced first-order system.
+(u, v, w) at every grid point, and one hl_partials call their implicit partial
+derivatives; the script reports the worst defect of every defining constraint
+and checks that the subfamily satisfies the reduced first-order system.
 It does so for positive head levels and for negative ones, whose solved rows
 must all lie on the branch w >= w0 (the count below it is expected to be 0).
 
@@ -28,19 +28,18 @@ def survey(cfg: HLConfig) -> None:
     ys = np.concatenate([np.linspace(-1.4, -0.2, 7), np.linspace(0.2, 1.4, 7)])
     x, y = np.meshgrid(xs, ys, indexing="ij")
     cols = hl_triples(cfg, x, y)
+    # dx[k] = (u_x, v_x, w_x) and dy[k] = (u_y, v_y, w_y) at solved point k
+    dx, dy = hl_partials(cfg, x, y, cols)
     ok = cols.status == "ok"
-    x, y, u, v, w = (c[ok] for c in (x, y, cols.u, cols.v, cols.w))
+    x, y, u, v, w, dx, dy = (c[ok] for c in (x, y, cols.u, cols.v, cols.w, dx, dy))
 
-    pw = eval_p(cfg.params, w)
-    pp = eval_p_prime(cfg.params, w)
-    # d[k, 0] = (u_x, v_x, w_x) and d[k, 1] = (u_y, v_y, w_y) at solved point k
-    d = np.array([hl_partials(cfg, float(xi), float(yi)) for xi, yi in zip(x, y)]).reshape(-1, 2, 3)
+    pw, pp = eval_p(cfg.params, w), eval_p_prime(cfg.params, w)
     worst = dict(
         gauge=np.abs(w - (x * x + u**2 + cfg.b)).max(initial=0.0),
         phase=np.abs(v * u + x * y).max(initial=0.0),
         modulus=np.abs(pw - (v**2 + y * y)).max(initial=0.0),
-        curl=np.abs(d[:, 0, 0] - d[:, 1, 1]).max(initial=0.0),
-        system=np.abs(d[:, 0, 1] + pp * d[:, 1, 0]).max(initial=0.0),
+        curl=np.abs(dx[:, 0] - dy[:, 1]).max(initial=0.0),
+        system=np.abs(dx[:, 1] + pp * dy[:, 0]).max(initial=0.0),
     )
 
     print(f"levels a = {cfg.params.a}, b = {cfg.b}")

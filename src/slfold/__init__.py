@@ -52,7 +52,6 @@ from .families import (
     affine_uv,
     hl_partials,
     hl_residual,
-    hl_solve_alpha,
     hl_triple,
     hl_triples,
 )

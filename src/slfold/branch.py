@@ -178,6 +178,9 @@ def ellipticity_array(params: ReductionParams, s: np.ndarray, derivative: bool =
     and dw/ds = 1/P'(w); the branch is inverted once for both.
     """
     t, dp = _branch_t(params, np.asarray(s, dtype=float))
-    if not derivative:
-        return dp
-    return dp, _p_and_dp(params.shifts, t, second=True)[2] / dp
+    return (dp, _f_prime(params, t, dp)) if derivative else dp
+
+
+def _f_prime(params: ReductionParams, t, dp):
+    """F'(s) = P''(w)/P'(w) at the branch shift t = w - w0 that _branch_t returned with dp = P'(w)."""
+    return _p_and_dp(params.shifts, t, second=True)[2] / dp

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .branch import params_from_levels
 from .calibration import POINT_COLUMNS, verify_fields
 from .config import RunConfig, load_config
 from .embedding import sample_fields
@@ -207,10 +208,7 @@ def cmd_example(args) -> int:
     if args.family == "hl":
         if not args.a:
             raise ConfigError("hl needs --a with the full level vector (last entry 0)")
-        levels = tuple(float(t) for t in args.a.split(","))
-        if levels[-1] != 0.0:
-            raise ConfigError("hl convention: the last level must be exactly 0")
-        cfg = HLConfig.from_head(levels[:-1], args.b)
+        cfg = HLConfig(params_from_levels([float(t) for t in args.a.split(",")]), args.b)
         dom = _parse_domain(args.domain, args.nx, args.ny)
         x, y = np.meshgrid(dom.xs(), dom.ys(), indexing="ij")
         cols = hl_triples(cfg, x, y)

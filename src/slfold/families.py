@@ -43,14 +43,14 @@ class AffineSolution:
             raise ValueError(f"alpha, beta and gamma must be finite, got {(self.alpha, self.beta, self.gamma)}")
 
 
-def affine_uv(sol: AffineSolution, x: float, y: float) -> tuple[float, float]:
+def affine_uv(sol: AffineSolution, x, y):
+    """(u, v) at (x, y); elementwise on arrays."""
     return sol.alpha * x + sol.beta, sol.alpha * y + sol.gamma
 
 
 def affine_fields(sol: AffineSolution, domain: GridDomain) -> tuple[ScalarField2D, ScalarField2D]:
-    u = ScalarField2D.from_function(domain, lambda x, y: sol.alpha * x + sol.beta + 0.0 * y)
-    v = ScalarField2D.from_function(domain, lambda x, y: sol.alpha * y + sol.gamma + 0.0 * x)
-    return u, v
+    u, v = affine_uv(sol, *np.meshgrid(domain.xs(), domain.ys(), indexing="ij"))
+    return ScalarField2D(domain, u), ScalarField2D(domain, v)
 
 
 def affine_potential(sol: AffineSolution) -> "callable":
@@ -154,11 +154,6 @@ def hl_triples(cfg: HLConfig, x, y) -> HLColumns:
     return HLColumns(*(col.reshape(shape) for col in columns))
 
 
-def hl_solve_alpha(cfg: HLConfig, x: float, y: float) -> float:
-    """Root alpha > 0 of the constraint equation at one base point; hl_triple(...).alpha."""
-    return hl_triple(cfg, x, y).alpha
-
-
 def hl_triple(cfg: HLConfig, x: float, y: float) -> HLColumns:
     """hl_triples at one point as floats; YZeroError, NonpositiveAlphaError or DegenerateRegionError by status."""
     cols = hl_triples(cfg, x, y)
@@ -171,18 +166,22 @@ def hl_triple(cfg: HLConfig, x: float, y: float) -> HLColumns:
     return HLColumns(*(c.item() for c in cols))
 
 
-def hl_partials(cfg: HLConfig, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u_x, v_x, w_x) and (u_y, v_y, w_y) by implicit differentiation.
+@np.errstate(divide="ignore", invalid="ignore")
+def hl_partials(cfg: HLConfig, x, y, cols: HLColumns) -> tuple[np.ndarray, np.ndarray]:
+    """(u_x, v_x, w_x) and (u_y, v_y, w_y) on a last axis of length 3, from the columns that
+    hl_triple or hl_triples solved at (x, y); elementwise, and 0 where the status is not ok.
 
-    Differentiating w = x^2 + u^2 + b, u v = -x y and P(w) = v^2 + y^2 gives
-    two 3x3 linear systems for the partials; useful for building tangent
-    frames on the subfamily.
+    Differentiating w = x^2 + u^2 + b, u v = -x y and P(w) = v^2 + y^2 gives two 3x3 linear
+    systems for the partials, with determinant -2 D, D = v^2 + P'(w) u^2; this is their
+    solution in closed form.
     """
-    t = hl_triple(cfg, x, y)
-    pp = eval_p_prime(cfg.params, t.w)
-    # unknowns ordered (u_., v_., w_.)
-    m = np.array([[-2.0 * t.u, 0.0, 1.0], [t.v, t.u, 0.0], [0.0, -2.0 * t.v, pp]])
-    return np.linalg.solve(m, [2.0 * x, -y, 0.0]), np.linalg.solve(m, [0.0, -x, 2.0 * y])
+    u, v, pp = cols.u, cols.v, eval_p_prime(cfg.params, cols.w)
+    d = v * v + pp * u * u
+    ux, uy = -(v * y + pp * u * x) / d, (u * y - v * x) / d
+    dx = (ux, -(y + v * ux) / u, 2.0 * (x + u * ux))
+    dy = (uy, -(x + v * uy) / u, 2.0 * u * uy)
+    ok = np.asarray(cols.status == "ok")[..., None]
+    return np.where(ok, np.stack(dx, axis=-1), 0.0), np.where(ok, np.stack(dy, axis=-1), 0.0)
 
 
 class JoyceCheck(NamedTuple):

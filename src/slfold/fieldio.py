@@ -18,9 +18,11 @@ NULs.  ``fmt`` writes the non-finite cells and the cells whose scaled value
 lies within 1e-7 of a rounding tie.  ``_float17`` is imported by the first
 table written, so a command that writes none does not compile it.
 
-``write_json`` writes a top-level ``Records`` value from one C-encoder
-``json.dumps`` of its key-sorted floats (``indent`` would select the Python
-encoder), split on ``", "`` into a ``%`` template of the repeated row object;
+``write_json`` writes strict JSON: a non-finite float becomes the string
+``"inf"``, ``"-inf"`` or ``"nan"``.  It writes a top-level ``Records`` value
+from one C-encoder ``json.dumps`` of its key-sorted floats (``indent`` would
+select the Python encoder), split on ``", "`` into a ``%`` template of the
+repeated row object;
 ``read_xyv_rows`` converts all cells in one ``np.array(cells, dtype=float)``,
 which parses a string as ``float()`` does.
 """
@@ -28,6 +30,7 @@ which parses a string as ``float()`` does.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -138,18 +141,34 @@ class Records(NamedTuple):
 
 
 def write_json(obj: dict, path: str | Path) -> None:
-    """json.dumps(obj, indent=2, sort_keys=True) and a newline; a top-level Records value is
-    written as its list of row dicts would be (see the module docstring)."""
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) and a newline, with each
+    non-finite float written as the string "inf", "-inf" or "nan", which float() reads back;
+    a top-level Records value is written as its list of row dicts would be (see the module
+    docstring)."""
     tables = {key: value for key, value in obj.items() if isinstance(value, Records)}
-    text = json.dumps({k: None if k in tables else v for k, v in obj.items()}, indent=2, sort_keys=True)
+    text = json.dumps(_strict({k: None if k in tables else v for k, v in obj.items()}), indent=2,
+                      sort_keys=True, allow_nan=False)
     for key, (columns, rows) in tables.items():
         order = sorted(range(len(columns)), key=columns.__getitem__)
         entry = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %s" for k in order)
-        cells = json.dumps(rows[:, order].ravel().tolist())[1:-1].split(", ") if len(rows) else ()
+        values = rows[:, order].ravel().tolist()
+        values = values if np.isfinite(rows).all() else _strict(values)
+        cells = json.dumps(values, allow_nan=False)[1:-1].split(", ") if len(rows) else ()
         body = ",\n".join([f"    {{\n{entry}\n    }}"] * len(rows)) % tuple(cells)
         place = f"\n  {json.dumps(key)}: "
         text = text.replace(place + "null", place + (f"[\n{body}\n  ]" if len(rows) else "[]"), 1)
     Path(path).write_text(text + "\n")
+
+
+def _strict(value):
+    """value with each non-finite float, in lists, tuples and dict values too, as its str()."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def write_rows_csv(header: Iterable[str], columns: Sequence[np.ndarray], path: str | Path) -> None:

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .branch import ReductionParams, _branch_t, ellipticity_array
+from .branch import ReductionParams, _branch_t, _f_prime, ellipticity_array
 from .errors import (
     DegeneracyEncounteredError,
     DomainMismatchError,
@@ -80,8 +80,8 @@ class SolverConfig:
     ellipticity_floor: float = 1e-10
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:  # an infinite one would pass any iterate
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if np.isnan(self.ellipticity_floor):
             raise ValueError("ellipticity_floor must not be nan")
         if self.max_iterations < 1:
@@ -378,25 +378,29 @@ def _krylov_step(levels: list[_Level], res: np.ndarray, target: float, budget: i
 
 class _Iterate(NamedTuple):
     """An iterate f with its interior coefficient c, its residual R(f), the
-    RMS and max norm of R, and the b of the Jacobian at f."""
+    RMS and max norm of R, and jacobian_b(), which builds the b of the
+    Jacobian at f from the same branch inversion."""
 
     f: np.ndarray
     coef: np.ndarray
     res: np.ndarray
     rms: float
     residual: float
-    b: np.ndarray
+    jacobian_b: Callable[[], np.ndarray]
 
 
 def _iterate(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> _Iterate:
-    """Linearise R at f: c = F(s) with s = (D_x f)^2 + y^2, and b = 2 F'(s) D_x f D_yy f,
-    from one branch inversion."""
+    """Linearise R at f: c = F(s) with s = (D_x f)^2 + y^2 and R(f) from one branch inversion,
+    and b = 2 F'(s) D_x f D_yy f when jacobian_b() asks for it."""
     fx = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
-    coef, slope = ellipticity_array(params, fx * fx + domain.ys()[None, 1:-1] ** 2, derivative=True)
+    t, coef = _branch_t(params, fx * fx + domain.ys()[None, 1:-1] ** 2)
     res = _Level(coef, 0.0, domain.hx, domain.hy).apply(f)
-    # a level with hx = inf has no x coupling: with c = 1 its apply is D_yy
-    b = 2.0 * slope * fx * _Level(1.0, 0.0, np.inf, domain.hy).apply(f)
-    return _Iterate(f, coef, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), b)
+
+    def jacobian_b() -> np.ndarray:
+        # a level with hx = inf has no x coupling: with c = 1 its apply is D_yy
+        return 2.0 * _f_prime(params, t, coef) * fx * _Level(1.0, 0.0, np.inf, domain.hy).apply(f)
+
+    return _Iterate(f, coef, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), jacobian_b)
 
 
 def solve_dirichlet(
@@ -430,14 +434,16 @@ def solve_dirichlet(
         raise DegeneracyEncounteredError(refusal)
 
     it = _iterate(params, transfinite_interpolant(phi), domain)
+    b = None  # the Jacobian's b at it, built once for the steps from it
     cycles = newton_steps = rejected_steps = 0
     eta, sigma = _ETA0, 0.0
     while it.residual > cfg.tolerance:
         if cycles >= cfg.max_iterations:
             raise NoConvergenceError(cycles, it.residual)
+        b = it.jacobian_b() if b is None else b
         # asking |J d + R| below tolerance / 2 buys nothing the stopping test needs
         target = max(eta * it.residual, 0.5 * cfg.tolerance)
-        step, used = _krylov_step(_levels(it.coef, it.b, domain.hx, domain.hy, sigma), it.res, target,
+        step, used = _krylov_step(_levels(it.coef, b, domain.hx, domain.hy, sigma), it.res, target,
                                   cfg.max_iterations - cycles)
         cycles += used
         trial = it.f.copy()
@@ -454,7 +460,7 @@ def solve_dirichlet(
         safeguard = _EW_GAMMA * eta**_EW_ALPHA
         eta = min(_ETA0, max(_EW_GAMMA * (new.residual / it.residual) ** _EW_ALPHA,
                              safeguard if safeguard > 0.1 else 0.0))
-        it = new
+        it, b = new, None
 
     field = ScalarField2D(domain, it.f)
     return PdeSolution(field, *recover_uv(field), iterations=cycles, final_residual=it.residual,

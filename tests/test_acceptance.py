@@ -31,8 +31,8 @@ from slfold.families import (
     AffineSolution,
     HLConfig,
     affine_fields,
+    hl_partials,
     hl_residual,
-    hl_solve_alpha,
     hl_triple,
     joyce_check,
 )
@@ -231,11 +231,9 @@ def test_criterion_08_decomposition_law():
             worst_fit = max(worst_fit, fit.residual)
     # gauge-constrained triples validate the law with u_y, v_x != 0
     cfg = HLConfig.from_head((1.0, 0.5), 0.2)
-    from slfold.families import hl_partials
-
     for (x, y) in [(0.6, 0.8), (-0.9, 1.1), (0.4, -1.3), (1.2, 0.5)]:
         t = hl_triple(cfg, x, y)
-        dx, dy = hl_partials(cfg, x, y)
+        dx, dy = hl_partials(cfg, x, y, t)
         sample = lift_point(cfg.params, x, y, t.u, t.v)
         frame = tangent_frame(cfg.params, sample, dx[0], dy[0], dx[1], dy[1])
         fit = decomposition_check(cfg.params, frame)
@@ -261,11 +259,11 @@ def test_criterion_09_hl_closure():
         x = float(rng.uniform(-1.5, 1.5))
         y = float(rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0]))
         try:
-            alpha = hl_solve_alpha(cfg, x, y)
             t = hl_triple(cfg, x, y)
         except DegenerateRegionError:
             continue
         checked += 1
+        alpha = t.alpha
         worst_f = max(worst_f, abs(hl_residual(cfg, x, y, alpha)))
         # bracket monotonicity at 20 probes
         probes = np.geomspace(alpha / 3, alpha * 3, 20)

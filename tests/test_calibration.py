@@ -406,7 +406,7 @@ def test_decomposition_hl_solution_frames():
     target = (-1.0) ** (2 - params.n)
     for (x, y) in [(0.6, 0.8), (-0.9, 1.1), (0.4, -1.3)]:
         t = hl_triple(cfg, x, y)
-        dx, dy = hl_partials(cfg, x, y)
+        dx, dy = hl_partials(cfg, x, y, t)
         sample = lift_point(params, x, y, t.u, t.v)
         frame = tangent_frame(params, sample, dx[0], dy[0], dx[1], dy[1])
         assert omega_residual(frame) <= 1e-10

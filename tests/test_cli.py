@@ -609,8 +609,9 @@ def test_example_hl_flags_underflowing_nodes(tmp_path):
         families.hl_triple(families.HLConfig.from_head((0.0,), 0.0), 4.8e-92, 4.8e-92)
 
 
-def test_example_hl_requires_trailing_zero():
+def test_example_hl_requires_trailing_zero(capsys):
     assert main(["example", "hl", "--a", "1,0.5", "--b", "0"]) == 1
+    assert "the last parameter a_{n-1} must be exactly 0" in capsys.readouterr().err
 
 
 def test_example_joyce_deviation(tmp_path, capsys):
@@ -860,6 +861,15 @@ def test_solve_refuses_an_infinite_domain_bound_exit1(tmp_path, capsys):
     assert "config error: domain bounds and node spacings must be finite" in capsys.readouterr().err
 
 
+def test_solve_refuses_an_infinite_tolerance_exit1(tmp_path, capsys):
+    # it would pass the transfinite start as converged after 0 iterations
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(CONFIG.replace("tolerance = 1e-10", "tolerance = inf"))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "tolerance must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_without_domain_section_exit1(tmp_path, capsys):
     cfg = tmp_path / "run.toml"
     cfg.write_text(CONFIG.replace(DOMAIN_SECTION, ""))
@@ -948,7 +958,12 @@ def test_verify_takes_an_infinite_budget_as_no_bound(tmp_path, cfg_path):
     write_field_csv(ScalarField2D(u.domain, u.values + 0.01 * x * y), up, name="u")
     argv = ["verify", "--config", str(cfg_path), "--u", str(up), "--v", str(vp)]
     assert main(argv) == 4
-    assert main([*argv, *(f"--budget-{key}=inf" for key in ("first-order", "omega", "im-omega", "gamma"))]) == 0
+    report = tmp_path / "verify.json"
+    budgets = [f"--budget-{key}=inf" for key in ("first-order", "omega", "im-omega", "gamma")]
+    assert main([*argv, *budgets, "--report", str(report)]) == 0
+    # strict JSON: the budgets are strings that float() reads as inf
+    data = json.loads(report.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert data["budgets"] == dict.fromkeys(("first_order", "omega", "im_omega", "gamma"), "inf")
 
 
 # --- field io ----------------------------------------------------------------------

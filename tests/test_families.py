@@ -22,7 +22,6 @@ from slfold.families import (
     affine_uv,
     hl_partials,
     hl_residual,
-    hl_solve_alpha,
     hl_triple,
     hl_triples,
     joyce_check,
@@ -100,27 +99,27 @@ def test_hl_residual_rejects_nonpositive_alpha():
 
 
 def test_hl_solve_alpha_bracket_example():
-    alpha = hl_solve_alpha(CFG, 1.0, 1.0)
+    alpha = hl_triple(CFG, 1.0, 1.0).alpha
     assert 0.2 < alpha < 1.0
     assert abs(hl_residual(CFG, 1.0, 1.0, alpha)) <= 1e-10
 
 
 def test_hl_solve_alpha_monotone_in_y():
-    a1 = hl_solve_alpha(CFG, 1.0, 1.0)
-    a2 = hl_solve_alpha(CFG, 1.0, 2.0)
+    a1 = hl_triple(CFG, 1.0, 1.0).alpha
+    a2 = hl_triple(CFG, 1.0, 2.0).alpha
     assert a2 > a1
 
 
 def test_hl_solve_alpha_axis_reduction():
     y = 1.5
-    alpha = hl_solve_alpha(CFG, 0.0, y)
+    alpha = hl_triple(CFG, 0.0, y).alpha
     expected = solve_branch(CFG.params, y * y).w - CFG.b
     assert alpha == pytest.approx(expected, rel=1e-12)
 
 
 def test_hl_solve_alpha_requires_nonzero_y():
     with pytest.raises(YZeroError):
-        hl_solve_alpha(CFG, 1.0, 0.0)
+        hl_triple(CFG, 1.0, 0.0)
 
 
 def test_hl_degenerate_region_reported():
@@ -132,13 +131,13 @@ def test_hl_degenerate_region_reported():
     # at x = 0 the branch root w(y^2) = 0.207 leaves alpha = w - b < 0 for b = 2
     cfg = HLConfig.from_head((1.0,), 2.0)
     with pytest.raises(DegenerateRegionError):
-        hl_solve_alpha(cfg, 0.0, 0.5)
+        hl_triple(cfg, 0.0, 0.5)
 
 
 def test_hl_solve_alpha_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(families, "_MAX_NEWTON", 1)
     with pytest.raises(NoConvergenceError):
-        hl_solve_alpha(CFG, 1.0, 1.0)
+        hl_triple(CFG, 1.0, 1.0)
 
 
 def test_hl_tiny_coordinates_are_ok():
@@ -329,7 +328,6 @@ def test_hl_triples_broadcast_and_point_wrappers():
     assert cols.status.tolist() == [["ok", "skipped_y0", "ok"]] * 2
     t = hl_triple(CFG, 1.0, -1.2)
     assert t == (cols.u[1, 2], cols.v[1, 2], cols.w[1, 2], cols.alpha[1, 2], "ok")
-    assert hl_solve_alpha(CFG, 1.0, -1.2) == t.alpha
 
 
 def test_hl_residual_is_elementwise():
@@ -439,7 +437,7 @@ def test_hl_bracket_monotone_at_probes(rng):
     for _ in range(10):
         x = rng.uniform(0.3, 1.5)
         y = rng.uniform(0.3, 1.5)
-        alpha = hl_solve_alpha(CFG, x, y)
+        alpha = hl_triple(CFG, x, y).alpha
         probes = np.geomspace(alpha / 4, alpha * 4, 20)
         vals = [hl_residual(CFG, x, y, float(t)) for t in probes]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
@@ -455,14 +453,44 @@ def test_hl_triples_satisfy_reduced_system(rng):
         y = float(rng.uniform(0.15, 1.4) * rng.choice([-1.0, 1.0]))
         cfg = HLConfig.from_head(tuple(head), b)
         try:
-            dx, dy = hl_partials(cfg, x, y)
             t = hl_triple(cfg, x, y)
         except DegenerateRegionError:
             continue
         checked += 1
+        dx, dy = hl_partials(cfg, x, y, t)
         pp = eval_p_prime(cfg.params, t.w)
         assert abs(dx[0] - dy[1]) <= 1e-9 * (1 + abs(dx[0]))
         assert abs(dx[1] + pp * dy[0]) <= 1e-9 * (1 + abs(dx[1]))
+
+
+# The 3x3 implicit systems that hl_partials solves in closed form, kept as its reference.
+
+def _reference_hl_partials(cfg, x, y):
+    t = hl_triple(cfg, x, y)
+    pp = eval_p_prime(cfg.params, t.w)
+    # unknowns ordered (u_., v_., w_.)
+    m = np.array([[-2.0 * t.u, 0.0, 1.0], [t.v, t.u, 0.0], [0.0, -2.0 * t.v, pp]])
+    return np.linalg.solve(m, [2.0 * x, -y, 0.0]), np.linalg.solve(m, [0.0, -x, 2.0 * y])
+
+
+@pytest.mark.parametrize("head, b", [((1.0, 0.5), 0.2), ((-0.7703, -2.3912, -3.9233), -0.088)])
+def test_hl_partials_closed_form_on_the_survey_grids(head, b):
+    # the grids of scripts/hl_survey.py: the array call is the float calls bit for bit,
+    # and the linear solves to 1e-14 of each partial vector's max norm
+    cfg = HLConfig.from_head(head, b)
+    ys = np.concatenate([np.linspace(-1.4, -0.2, 7), np.linspace(0.2, 1.4, 7)])
+    x, y = np.meshgrid(np.linspace(-1.4, 1.4, 15), ys, indexing="ij")
+    cols = hl_triples(cfg, x, y)
+    dx, dy = hl_partials(cfg, x, y, cols)
+    ok = cols.status == "ok"
+    assert dx.shape == dy.shape == (*x.shape, 3)
+    assert np.count_nonzero(ok) > 200 and not np.any(dx[~ok]) and not np.any(dy[~ok])
+    for i, j in zip(*np.nonzero(ok)):
+        xi, yi = float(x[i, j]), float(y[i, j])
+        point = hl_partials(cfg, xi, yi, hl_triple(cfg, xi, yi))
+        for got, one, ref in zip((dx[i, j], dy[i, j]), point, _reference_hl_partials(cfg, xi, yi)):
+            assert one.shape == (3,) and np.array_equal(got, one), (xi, yi)
+            assert np.max(np.abs(one - ref)) <= 1e-14 * np.max(np.abs(ref)), (xi, yi)
 
 
 def test_hl_config_requires_trailing_zero():

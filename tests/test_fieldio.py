@@ -199,10 +199,16 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _strict_reference(obj):
+    """obj with each NaN, Infinity and -Infinity that json.dumps writes read back as "nan", "inf", "-inf"."""
+    names = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+    return json.loads(json.dumps(obj), parse_constant=names.__getitem__)
+
+
 def _assert_records_dump(tmp_path, columns, rows, others):
     obj = {"a": 1, **others, "points": Records(columns, rows), "zz": [0.5]}
     write_json(obj, tmp_path / "r.json")
-    want = {**obj, "points": [dict(zip(columns, r)) for r in rows.tolist()]}
+    want = _strict_reference({**obj, "points": [dict(zip(columns, r)) for r in rows.tolist()]})
     assert (tmp_path / "r.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
@@ -229,6 +235,25 @@ def test_records_of_raw_bit_patterns_write_as_json_dumps_writes(tmp_path, rows):
     bits = np.random.default_rng(rows).integers(0, 2**64, (rows, 6), dtype=np.uint64)
     columns = ("x", "y", "omega", "im_omega", "gamma", "fit_residual")
     _assert_records_dump(tmp_path, columns, bits.view(float), {"budgets": {"omega": 1e-6}, "frames": rows})
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_json_is_strict_and_float_reads_the_nonfinite_strings_back(tmp_path):
+    rows = np.array([[math.inf, 1.0], [math.nan, -math.inf]])
+    write_json({"budgets": {"omega": math.inf, "gamma": 1e-6}, "x": (-math.inf, math.nan, 0.5),
+                "points": Records(("a", "b"), rows)}, tmp_path / "r.json")
+    data = json.loads((tmp_path / "r.json").read_text(), parse_constant=_no_constant)
+    assert data["budgets"] == {"omega": "inf", "gamma": 1e-6}
+    assert data["x"] == ["-inf", "nan", 0.5]
+    back = np.array([[float(p["a"]), float(p["b"])] for p in data["points"]])
+    assert np.array_equal(back, rows, equal_nan=True)
+    # a file with no non-finite value keeps the bytes of json.dumps
+    write_json({"budgets": {"omega": 1e-6}, "points": Records(("a",), np.ones((2, 1)))}, tmp_path / "f.json")
+    want = {"budgets": {"omega": 1e-6}, "points": [{"a": 1.0}] * 2}
+    assert (tmp_path / "f.json").read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 # --- the float kernel against '%.17g' ------------------------------------------------

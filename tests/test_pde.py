@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from slfold.branch import params_from_levels
+from slfold import pde
+from slfold.branch import _f_prime, params_from_levels
 from slfold.errors import (
     DegeneracyEncounteredError,
     DomainMismatchError,
@@ -493,7 +494,7 @@ def test_jacobian_is_the_derivative_of_the_residual():
     f = field(lambda x, y: np.sin(2 * x + y) + x * x * y, dom).values
     e = np.pad(np.random.default_rng(3).standard_normal((19, 15)), 1)
     it = _iterate(params, f, dom)
-    je = _Level(it.coef, it.b, dom.hx, dom.hy).apply(e)
+    je = _Level(it.coef, it.jacobian_b(), dom.hx, dom.hy).apply(e)
 
     def res(g):
         return residual_potential(params, ScalarField2D(dom, g)).values[1:-1, 1:-1]
@@ -508,10 +509,11 @@ def test_jacobian_is_the_frozen_operator_at_an_affine_potential():
     # D_yy f = 0 exactly on dyadic values, so b = 0 and J e is the frozen operator's
     f = field(lambda x, y: 0.5 * x * y - x + 2.0 * y).values
     it = _iterate(params_from_levels((1.0, 0.25, -1.0)), f, DOM)
-    assert not np.any(it.b)
+    b = it.jacobian_b()
+    assert not np.any(b)
     e = np.pad(np.random.default_rng(5).standard_normal((15, 15)), 1)
     frozen = _Level(it.coef, 0.0, DOM.hx, DOM.hy)
-    assert np.array_equal(_Level(it.coef, it.b, DOM.hx, DOM.hy).apply(e), frozen.apply(e))
+    assert np.array_equal(_Level(it.coef, b, DOM.hx, DOM.hy).apply(e), frozen.apply(e))
 
 
 def test_shifted_jacobian_is_j_less_sigma_e():
@@ -520,13 +522,14 @@ def test_shifted_jacobian_is_j_less_sigma_e():
     dom = GridDomain(-1.0, 1.0, -0.5, 1.2, 21, 17)
     f = field(lambda x, y: np.sin(2 * x + y) + x * x * y, dom).values
     it = _iterate(params_from_levels((1.0, 0.25, -1.0)), f, dom)
+    b = it.jacobian_b()
     e = np.pad(np.random.default_rng(11).standard_normal((19, 15)), 1)
-    jac = _Level(it.coef, it.b, dom.hx, dom.hy)
+    jac = _Level(it.coef, b, dom.hx, dom.hy)
     for sigma in (1.0, 37.5, 4.0**12):
-        shifted = _Level(it.coef, it.b, dom.hx, dom.hy, sigma).apply(e)
+        shifted = _Level(it.coef, b, dom.hx, dom.hy, sigma).apply(e)
         expected = jac.apply(e) - sigma * e[1:-1, 1:-1]
         assert np.abs(shifted - expected).max() <= 1e-14 * np.abs(expected).max()
-        line = _levels(it.coef[:, 7:8], it.b[:, 7:8], dom.hx, dom.hy, sigma)
+        line = _levels(it.coef[:, 7:8], b[:, 7:8], dom.hx, dom.hy, sigma)
         g = np.random.default_rng(13).standard_normal((19, 1))
         assert len(line) == 1
         assert np.abs(line[0].apply(np.pad(_vcycle(line, g), 1)) - g).max() <= 1e-12 * np.abs(g).max()
@@ -537,7 +540,7 @@ def _first_step(levels=(0.1, 0.0), nodes=33):
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, nodes, nodes)
     phi = BoundaryData.from_function(dom, EXP_Y)
     it = _iterate(params_from_levels(levels), transfinite_interpolant(phi), dom)
-    return _levels(it.coef, it.b, dom.hx, dom.hy), it.res
+    return _levels(it.coef, it.jacobian_b(), dom.hx, dom.hy), it.res
 
 
 def test_one_krylov_vector_is_the_minimal_residual_vcycle():
@@ -597,15 +600,28 @@ def test_inner_cycles_stop_where_the_stationary_vcycle_diverges():
     assert np.abs(it.res + levels[0].apply(np.pad(step, 1))).max() <= 1e-12 * norms[0]
 
 
-def test_a_rejected_step_is_retried_with_a_shift():
+def test_a_rejected_step_is_retried_with_a_shift(monkeypatch):
     # the stall case of the solver table at 33^2: two steps fail to lower the
-    # RMS residual and are retried on J - sigma I with a larger sigma
+    # RMS residual and are retried on J - sigma I with a larger sigma, with the
+    # b of the same iterate: b is built once for the steps from each iterate
+    built = []
+    monkeypatch.setattr(pde, "_f_prime", lambda *args: built.append(args) or _f_prime(*args))
     dom = GridDomain(-1.0, 1.0, -1.0, 1.0, 33, 33)
     phi = BoundaryData.from_function(
         dom, lambda x, y: -1.8139 * np.sin(-1.7264 * x - 1.6802 * y) - 0.9129 * x * y + 0.3054 * x**2 - 1.2218 * y)
     sol = solve_dirichlet(params_from_levels((-1.989, -0.5366, -1.7663, 0.56)), dom, phi, SolverConfig(tolerance=1e-9))
     assert sol.final_residual <= 1e-9
     assert (sol.iterations, sol.newton_steps, sol.rejected_steps) == (18, 7, 2)
+    assert len(built) == sol.newton_steps
+
+
+def test_the_residual_readers_build_no_jacobian(monkeypatch):
+    monkeypatch.setattr(pde, "_f_prime", lambda *args: pytest.fail("F'(s) evaluated"))
+    params = params_from_levels((1.0, 0.25, -1.0))
+    f = field(lambda x, y: np.sin(3 * x) + y**3)
+    it = _iterate(params, f.values, DOM)
+    assert np.array_equal(ellipticity_field(params, f), it.coef)
+    assert np.array_equal(residual_potential(params, f).values[1:-1, 1:-1], it.res)
 
 
 def _random_sweep():
@@ -660,6 +676,8 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=float("nan"))
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        SolverConfig(tolerance=float("inf"))
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError, match="ellipticity_floor"):
