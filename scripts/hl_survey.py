@@ -3,7 +3,8 @@
 One hl_triples call, the array solve that `slfold example hl` runs, produces
 (u, v, w) at every grid point, and one hl_partials call their implicit partial
 derivatives; the script reports the worst defect of every defining constraint
-and checks that the subfamily satisfies the reduced first-order system.
+and of its differential along x and y (the partials have the reduced system
+u_x = v_y, v_x = -P'(w) u_y built in, so these defects are what it rests on).
 It does so for positive head levels and for negative ones, whose solved rows
 must all lie on the branch w >= w0 (the count below it is expected to be 0).
 
@@ -34,22 +35,21 @@ def survey(cfg: HLConfig) -> None:
     x, y, u, v, w, dx, dy = (c[ok] for c in (x, y, cols.u, cols.v, cols.w, dx, dy))
 
     pw, pp = eval_p(cfg.params, w), eval_p_prime(cfg.params, w)
-    worst = dict(
-        gauge=np.abs(w - (x * x + u**2 + cfg.b)).max(initial=0.0),
-        phase=np.abs(v * u + x * y).max(initial=0.0),
-        modulus=np.abs(pw - (v**2 + y * y)).max(initial=0.0),
-        curl=np.abs(dx[:, 0] - dy[:, 1]).max(initial=0.0),
-        system=np.abs(dx[:, 1] + pp * dy[:, 0]).max(initial=0.0),
-    )
+    (ux, vx, wx), (uy, vy, wy) = dx.T, dy.T
+    defects = {
+        "|w - x^2 - u^2 - b|": w - (x * x + u**2 + cfg.b),
+        "|v u + x y|": v * u + x * y,
+        "|P(w) - v^2 - y^2|": pw - (v**2 + y * y),
+        "|d(w - x^2 - u^2)|": np.r_[wx - 2.0 * (x + u * ux), wy - 2.0 * u * uy],
+        "|d(v u + x y)|": np.r_[vx * u + v * ux + y, vy * u + v * uy + x],
+        "|d(P(w) - v^2 - y^2)|": np.r_[pp * wx - 2.0 * v * vx, pp * wy - 2.0 * (v * vy + y)],
+    }
 
     print(f"levels a = {cfg.params.a}, b = {cfg.b}")
     print(f"solved {int(ok.sum())} points, {int((cols.status == 'degenerate').sum())} degenerate "
           f"(x = 0 with w(y^2) - b <= 0), {int((w < cfg.params.w0).sum())} below w0 = {cfg.params.w0 + 0.0:g}")
-    print(f"worst |w - x^2 - u^2 - b|    = {worst['gauge']:.3e}")
-    print(f"worst |v u + x y|            = {worst['phase']:.3e}")
-    print(f"worst |P(w) - v^2 - y^2|     = {worst['modulus']:.3e}")
-    print(f"worst |u_x - v_y|            = {worst['curl']:.3e}")
-    print(f"worst |v_x + P'(w) u_y|      = {worst['system']:.3e}")
+    for label, defect in defects.items():
+        print(f"worst {label:<23}= {np.abs(defect).max(initial=0.0):.3e}")
 
 
 def main() -> int:

@@ -171,16 +171,12 @@ def branch_w_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
     return params.w0 + _branch_t(params, np.asarray(s, dtype=float))[0]
 
 
-def ellipticity_array(params: ReductionParams, s: np.ndarray, derivative: bool = False):
-    """F(s) = P'(w(s)) elementwise, from the factors t + d_j.
-
-    With derivative, (F(s), F'(s)) with F'(s) = P''(w)/P'(w), by the chain rule
-    and dw/ds = 1/P'(w); the branch is inverted once for both.
-    """
-    t, dp = _branch_t(params, np.asarray(s, dtype=float))
-    return (dp, _f_prime(params, t, dp)) if derivative else dp
+def ellipticity_array(params: ReductionParams, s: np.ndarray) -> np.ndarray:
+    """F(s) = P'(w(s)) elementwise, from the factors t + d_j."""
+    return _branch_t(params, np.asarray(s, dtype=float))[1]
 
 
 def _f_prime(params: ReductionParams, t, dp):
-    """F'(s) = P''(w)/P'(w) at the branch shift t = w - w0 that _branch_t returned with dp = P'(w)."""
+    """F'(s) = P''(w)/P'(w), by the chain rule and dw/ds = 1/P'(w), at the branch shift
+    t = w - w0 that _branch_t returned with dp = P'(w)."""
     return _p_and_dp(params.shifts, t, second=True)[2] / dp

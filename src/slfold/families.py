@@ -173,13 +173,13 @@ def hl_partials(cfg: HLConfig, x, y, cols: HLColumns) -> tuple[np.ndarray, np.nd
 
     Differentiating w = x^2 + u^2 + b, u v = -x y and P(w) = v^2 + y^2 gives two 3x3 linear
     systems for the partials, with determinant -2 D, D = v^2 + P'(w) u^2; this is their
-    solution in closed form.
+    solution in closed form.  The constraints reduce v_x, v_y and w_x to v_x = -P' u_y,
+    v_y = u_x and w_x = -2 v u_y, which divide by nothing and cancel nothing where u is small.
     """
     u, v, pp = cols.u, cols.v, eval_p_prime(cfg.params, cols.w)
     d = v * v + pp * u * u
     ux, uy = -(v * y + pp * u * x) / d, (u * y - v * x) / d
-    dx = (ux, -(y + v * ux) / u, 2.0 * (x + u * ux))
-    dy = (uy, -(x + v * uy) / u, 2.0 * u * uy)
+    dx, dy = (ux, -pp * uy, -2.0 * v * uy), (uy, ux, 2.0 * u * uy)
     ok = np.asarray(cols.status == "ok")[..., None]
     return np.where(ok, np.stack(dx, axis=-1), 0.0), np.where(ok, np.stack(dy, axis=-1), 0.0)
 

@@ -151,13 +151,17 @@ def write_json(obj: dict, path: str | Path) -> None:
     for key, (columns, rows) in tables.items():
         order = sorted(range(len(columns)), key=columns.__getitem__)
         entry = ",\n".join(f"      {json.dumps(columns[k]).replace('%', '%%')}: %s" for k in order)
-        values = rows[:, order].ravel().tolist()
-        values = values if np.isfinite(rows).all() else _strict(values)
-        cells = json.dumps(values, allow_nan=False)[1:-1].split(", ") if len(rows) else ()
+        cells = json.dumps(_floats(rows[:, order]), allow_nan=False)[1:-1].split(", ") if len(rows) else ()
         body = ",\n".join([f"    {{\n{entry}\n    }}"] * len(rows)) % tuple(cells)
         place = f"\n  {json.dumps(key)}: "
         text = text.replace(place + "null", place + (f"[\n{body}\n  ]" if len(rows) else "[]"), 1)
     Path(path).write_text(text + "\n")
+
+
+def _floats(table: np.ndarray) -> list:
+    """table's floats in C order, each non-finite one as _strict writes it."""
+    values = table.ravel().tolist()
+    return values if np.isfinite(table).all() else _strict(values)
 
 
 def _strict(value):

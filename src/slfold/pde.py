@@ -397,8 +397,10 @@ def _iterate(params: ReductionParams, f: np.ndarray, domain: GridDomain) -> _Ite
     res = _Level(coef, 0.0, domain.hx, domain.hy).apply(f)
 
     def jacobian_b() -> np.ndarray:
+        # D_x f again, so that the iterate holds t and no D_x f (and its full-grid base);
         # a level with hx = inf has no x coupling: with c = 1 its apply is D_yy
-        return 2.0 * _f_prime(params, t, coef) * fx * _Level(1.0, 0.0, np.inf, domain.hy).apply(f)
+        d_x = np.gradient(f, domain.hx, axis=0)[1:-1, 1:-1]
+        return 2.0 * _f_prime(params, t, coef) * d_x * _Level(1.0, 0.0, np.inf, domain.hy).apply(f)
 
     return _Iterate(f, coef, res, float(np.sqrt(np.mean(res * res))), float(np.max(np.abs(res))), jacobian_b)
 

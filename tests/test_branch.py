@@ -187,14 +187,15 @@ def test_p_and_dp_gives_the_second_derivative_only_when_asked(rng):
 def test_ellipticity_derivative_is_the_chain_rule(rng):
     # n = 3: F(s) = sqrt((a1 - a2)^2 + 4 s), so F'(s) = 2 / F(s)
     params, s = params_from_levels((1.0, -1.0)), rng.uniform(0.0, 10.0, 32)
-    f, df = ellipticity_array(params, s, derivative=True)
-    assert np.array_equal(f, ellipticity_array(params, s))
+    t, dp = branch._branch_t(params, s)
+    f, df = ellipticity_array(params, s), branch._f_prime(params, t, dp)
+    assert np.array_equal(f, dp)
     assert np.allclose(df, 2.0 / f, rtol=1e-14, atol=0)
     # n = 5: against a central difference of F
     params, h = params_from_levels((1.0, 0.25, -1.0, 3.0)), 1e-5
     s = rng.uniform(0.1, 10.0, 32)
     numeric = (ellipticity_array(params, s + h) - ellipticity_array(params, s - h)) / (2 * h)
-    assert np.allclose(ellipticity_array(params, s, derivative=True)[1], numeric, rtol=1e-8, atol=0)
+    assert np.allclose(branch._f_prime(params, *branch._branch_t(params, s)), numeric, rtol=1e-8, atol=0)
 
 
 def test_branch_budget_exhaustion_raises(monkeypatch):

@@ -443,8 +443,19 @@ def test_hl_bracket_monotone_at_probes(rng):
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
 
+# The 3x3 implicit systems that hl_partials solves in closed form, kept as its reference.
+
+def _reference_hl_partials(cfg, x, y):
+    t = hl_triple(cfg, x, y)
+    pp = eval_p_prime(cfg.params, t.w)
+    # unknowns ordered (u_., v_., w_.)
+    m = np.array([[-2.0 * t.u, 0.0, 1.0], [t.v, t.u, 0.0], [0.0, -2.0 * t.v, pp]])
+    return np.linalg.solve(m, [2.0 * x, -y, 0.0]), np.linalg.solve(m, [0.0, -x, 2.0 * y])
+
+
 def test_hl_triples_satisfy_reduced_system(rng):
-    # the subfamily really does solve u_x = v_y, v_x = -P'(w) u_y
+    # the subfamily really does solve u_x = v_y, v_x = -P'(w) u_y; hl_partials has both
+    # built in, so the 3x3 systems are checked
     checked = 0
     while checked < 30:
         head = rng.uniform(0.2, 2.0, 2)
@@ -457,20 +468,10 @@ def test_hl_triples_satisfy_reduced_system(rng):
         except DegenerateRegionError:
             continue
         checked += 1
-        dx, dy = hl_partials(cfg, x, y, t)
+        dx, dy = _reference_hl_partials(cfg, x, y)
         pp = eval_p_prime(cfg.params, t.w)
         assert abs(dx[0] - dy[1]) <= 1e-9 * (1 + abs(dx[0]))
         assert abs(dx[1] + pp * dy[0]) <= 1e-9 * (1 + abs(dx[1]))
-
-
-# The 3x3 implicit systems that hl_partials solves in closed form, kept as its reference.
-
-def _reference_hl_partials(cfg, x, y):
-    t = hl_triple(cfg, x, y)
-    pp = eval_p_prime(cfg.params, t.w)
-    # unknowns ordered (u_., v_., w_.)
-    m = np.array([[-2.0 * t.u, 0.0, 1.0], [t.v, t.u, 0.0], [0.0, -2.0 * t.v, pp]])
-    return np.linalg.solve(m, [2.0 * x, -y, 0.0]), np.linalg.solve(m, [0.0, -x, 2.0 * y])
 
 
 @pytest.mark.parametrize("head, b", [((1.0, 0.5), 0.2), ((-0.7703, -2.3912, -3.9233), -0.088)])
@@ -491,6 +492,21 @@ def test_hl_partials_closed_form_on_the_survey_grids(head, b):
         for got, one, ref in zip((dx[i, j], dy[i, j]), point, _reference_hl_partials(cfg, xi, yi)):
             assert one.shape == (3,) and np.array_equal(got, one), (xi, yi)
             assert np.max(np.abs(one - ref)) <= 1e-14 * np.max(np.abs(ref)), (xi, yi)
+
+
+@pytest.mark.parametrize(
+    "head, b, x, y",
+    [((1.0, 0.5), 0.2, 1.0, 1e-5), ((1.0, 0.5), 0.2, 0.7, 3e-7), ((-0.7703, -2.3912, -3.9233), -0.088, 0.7, 3e-7)],
+)
+def test_hl_partials_componentwise_where_u_is_small_or_large(head, b, x, y):
+    # near y = 0, alpha = u^2 far below x^2 (the first two), where -(y + v u_x)/u would lose
+    # v_x and v_y, or above it (the last), where 2 (x + u u_x) would cancel for w_x; the
+    # closed form keeps every component to rounding
+    cfg = HLConfig.from_head(head, b)
+    t = hl_triple(cfg, x, y)
+    assert t.alpha < 1e-10 * x * x or t.alpha > x * x
+    for got, ref in zip(hl_partials(cfg, x, y, t), _reference_hl_partials(cfg, x, y)):
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (got, ref)
 
 
 def test_hl_config_requires_trailing_zero():
